@@ -79,7 +79,7 @@ _DEPRECATED_SHIMS = {
 
 
 #: DPIServiceInstance methods whose non-payload parameters are keyword-only
-#: (old positional shapes survive only as DeprecationWarning shims).
+#: (a positional call raises TypeError at run time).
 _KEYWORD_ONLY_INSPECTION = frozenset({"inspect", "inspect_batch"})
 
 
@@ -93,7 +93,8 @@ class DeprecatedLifecycleShimRule(Rule):
     (:class:`~repro.core.lifecycle.InstanceManager`) or
     ``controller.telemetry_snapshot()``.  Likewise the inspection surface:
     ``inspect``/``inspect_batch`` take ``chain_id``/``flow_key``/``now``/
-    ``trace_parent`` as keywords; positional shapes are shims.
+    ``trace_parent`` as keywords only; a positional shape is a TypeError
+    at run time, caught here before it runs.
     """
 
     code = "API002"
@@ -115,12 +116,12 @@ class DeprecatedLifecycleShimRule(Rule):
             )
             return
         if func.attr in _KEYWORD_ONLY_INSPECTION and len(node.args) >= 2:
-            # First positional is the payload; anything after it rides the
-            # deprecated positional shim on DPIServiceInstance.
+            # First positional is the payload; DPIServiceInstance accepts
+            # nothing else positionally.
             yield context.finding(
                 node,
                 self.code,
                 f".{func.attr}() with positional chain_id/flow arguments "
-                "is a deprecation shim; pass chain_id=/flow_key=/now=/"
+                "raises TypeError; pass chain_id=/flow_key=/now=/"
                 "trace_parent= as keywords",
             )

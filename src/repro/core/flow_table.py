@@ -71,7 +71,7 @@ class FlowTable:
         return entry
 
     def remove(self, flow_key) -> FlowScanState | None:
-        """Remove one entry; raises KeyError if absent."""
+        """Remove and return one entry; ``None`` if absent."""
         return self._flows.pop(flow_key, None)
 
     def evict_idle(self, now: float, max_idle: float) -> int:

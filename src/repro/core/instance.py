@@ -16,7 +16,6 @@ the ECN bit, and emits the results in one of the three Section 4.2 modes
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Hashable, TypedDict
 
@@ -35,43 +34,6 @@ from repro.net.nsh import attach_nsh_results, build_result_packet, encode_tag_re
 from repro.net.packet import Packet
 
 RESULT_MODES = ("result_packet", "nsh", "tags")
-
-#: Sentinel distinguishing "keyword not passed" from any real value, so the
-#: deprecated positional shim can detect positional/keyword conflicts.
-_UNSET: object = object()
-
-
-def _resolve_legacy_call(
-    method_name: str,
-    legacy: tuple,
-    keywords: dict,
-    positions: tuple,
-) -> None:
-    """Map deprecated positional arguments onto their keyword slots.
-
-    The inspection API is keyword-only (``chain_id``/``flow_key``/``now``/
-    ``trace_parent``); old positional call shapes still work through this
-    shim but emit a :class:`DeprecationWarning` attributed to the caller —
-    which the test suite promotes to an error for in-repo callers, and the
-    API002 lint rule flags statically.  Mutates *keywords* in place.
-    """
-    if len(legacy) > len(positions):
-        raise TypeError(
-            f"{method_name}() takes at most {1 + len(positions)} positional "
-            f"arguments ({1 + len(legacy)} given)"
-        )
-    warnings.warn(
-        f"passing {', '.join(positions[: len(legacy)])} to {method_name}() "
-        "positionally is deprecated; pass them as keyword arguments",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    for name, value in zip(positions, legacy):
-        if keywords[name] is not _UNSET:
-            raise TypeError(
-                f"{method_name}() got multiple values for argument {name!r}"
-            )
-        keywords[name] = value
 
 #: Kernels an instance accepts: the single-automaton families plus the
 #: sharded fan-out kernel (see repro.core.sharding).
@@ -393,58 +355,21 @@ class DPIServiceInstance:
     def inspect(
         self,
         payload: bytes,
-        *legacy,
-        chain_id: "int | object" = _UNSET,
-        flow_key=_UNSET,
-        now=_UNSET,
-        trace_parent=_UNSET,
+        *,
+        chain_id: int,
+        flow_key=None,
+        now: float = 0.0,
+        trace_parent=None,
     ) -> InspectionOutput:
         """Scan one packet payload for its policy chain and build the report.
 
-        ``chain_id`` is required and — like ``flow_key``/``now``/
-        ``trace_parent`` — keyword-only; the old positional shape still
-        works through a :class:`DeprecationWarning` shim (see
-        :func:`_resolve_legacy_call`).
+        Everything but the payload is keyword-only, and ``chain_id`` is
+        required.
 
         ``trace_parent`` is an optional ``(trace id, span id)`` context; when
         the instance has a tracing telemetry hub, the scan is recorded as an
         ``inspect`` span under it.
         """
-        keywords = {
-            "chain_id": chain_id,
-            "flow_key": flow_key,
-            "now": now,
-            "trace_parent": trace_parent,
-        }
-        if legacy:
-            _resolve_legacy_call(
-                "inspect",
-                legacy,
-                keywords,
-                ("chain_id", "flow_key", "now", "trace_parent"),
-            )
-        if keywords["chain_id"] is _UNSET:
-            raise TypeError(
-                "inspect() missing required keyword-only argument: 'chain_id'"
-            )
-        return self._inspect(
-            payload,
-            keywords["chain_id"],
-            None if keywords["flow_key"] is _UNSET else keywords["flow_key"],
-            0.0 if keywords["now"] is _UNSET else keywords["now"],
-            None
-            if keywords["trace_parent"] is _UNSET
-            else keywords["trace_parent"],
-        )
-
-    def _inspect(
-        self,
-        payload: bytes,
-        chain_id: int,
-        flow_key,
-        now: float,
-        trace_parent,
-    ) -> InspectionOutput:
         self._require_alive()
         telemetry_on = self._m_packets is not None
         cache = self.automaton.scan_cache if telemetry_on else None
@@ -511,11 +436,11 @@ class DPIServiceInstance:
     def inspect_batch(
         self,
         payloads,
-        *legacy,
-        chain_id: "int | object" = _UNSET,
-        flow_keys=_UNSET,
-        now=_UNSET,
-        trace_parent=_UNSET,
+        *,
+        chain_id: int,
+        flow_keys=None,
+        now: float = 0.0,
+        trace_parent=None,
     ) -> list[InspectionOutput]:
         """Inspect a batch of payloads for one policy chain, in order.
 
@@ -524,53 +449,27 @@ class DPIServiceInstance:
         to every scan in the batch — one ``inspect`` span per payload under
         the same parent.  Batching amortizes the per-call service overhead
         and keeps repeated payloads hot in the scan cache; results come
-        back in submission order.  Keyword-only like :meth:`inspect`, with
-        the same deprecated-positional shim (``trace_parent`` never had a
-        positional slot).
+        back in submission order.  Keyword-only like :meth:`inspect`.
         """
-        keywords = {
-            "chain_id": chain_id,
-            "flow_keys": flow_keys,
-            "now": now,
-            "trace_parent": trace_parent,
-        }
-        if legacy:
-            _resolve_legacy_call(
-                "inspect_batch",
-                legacy,
-                keywords,
-                ("chain_id", "flow_keys", "now"),
-            )
-        if keywords["chain_id"] is _UNSET:
-            raise TypeError(
-                "inspect_batch() missing required keyword-only argument: "
-                "'chain_id'"
-            )
-        resolved_chain = keywords["chain_id"]
-        resolved_now = 0.0 if keywords["now"] is _UNSET else keywords["now"]
-        resolved_trace = (
-            None
-            if keywords["trace_parent"] is _UNSET
-            else keywords["trace_parent"]
-        )
-        resolved_keys = (
-            None if keywords["flow_keys"] is _UNSET else keywords["flow_keys"]
-        )
         payloads = list(payloads)
-        if resolved_keys is None:
-            resolved_keys = [None] * len(payloads)
+        if flow_keys is None:
+            flow_keys = [None] * len(payloads)
         else:
-            resolved_keys = list(resolved_keys)
-            if len(resolved_keys) != len(payloads):
+            flow_keys = list(flow_keys)
+            if len(flow_keys) != len(payloads):
                 raise ValueError(
-                    f"flow_keys length {len(resolved_keys)} != payloads "
+                    f"flow_keys length {len(flow_keys)} != payloads "
                     f"length {len(payloads)}"
                 )
         return [
-            self._inspect(
-                payload, resolved_chain, flow_key, resolved_now, resolved_trace
+            self.inspect(
+                payload,
+                chain_id=chain_id,
+                flow_key=flow_key,
+                now=now,
+                trace_parent=trace_parent,
             )
-            for payload, flow_key in zip(payloads, resolved_keys)
+            for payload, flow_key in zip(payloads, flow_keys)
         ]
 
     def scan_cache_stats(self) -> "dict[str, int] | None":

@@ -22,20 +22,22 @@ Three kernels are provided:
   strided slices, with every loop variable bound to a local.  Works for
   both layouts (the sparse goto/fail tables are materialized once at
   kernel construction).
-* ``"regex"`` — a rare-byte prefilter that keeps root-start stateless scans
-  inside CPython's C machinery.  Each distinct literal contributes its
-  rarest byte (under a static traffic-frequency prior) to one anchor
-  character class, compiled once into a single ``re`` scanner; any match
-  occurrence must put an anchor byte inside its span, so the DFA only has
-  to replay short windows around anchor runs, where the suffix-closed
-  match tables built in ``CombinedAutomaton._build_renumbered`` recover
-  every overlapping/suffix match exactly.  Payloads dense in anchor bytes
-  bail out to the flat kernel up front (a C-level ``translate`` count), so
-  the worst case degrades to flat-kernel speed instead of collapsing; on
-  high-entropy signature corpora (ClamAV-like) the anchors are bytes that
-  web-ish traffic almost never carries and whole payloads are dismissed at
-  C scan speed.  Mid-flow resumes and ``limit``-bounded scans fall back to
-  the flat kernel.
+* ``"regex"`` — a rare-byte prefilter that keeps anchor-sparse scans inside
+  CPython's C machinery.  Each distinct literal contributes its rarest byte
+  (under a static traffic-frequency prior) to one anchor character class,
+  compiled once into a single ``re`` scanner; any match occurrence must put
+  an anchor byte inside its span, so the DFA only has to replay short
+  windows around anchor runs, where the suffix-closed match tables built in
+  ``CombinedAutomaton._build_renumbered`` recover every overlapping/suffix
+  match exactly.  A mid-flow resume adds one more window: the carried state
+  is stepped through the first ``max_pattern_length - 1`` bytes, the only
+  match ends it can influence.  ``limit`` is a slice of the same scheme.
+  Payloads whose windows would cover half of them bail out to the flat
+  kernel (a C-level ``translate`` count up front, the measured coverage
+  while the anchor runs are merged), so an anchor flood costs a small
+  multiple of a flat scan instead of collapsing; on high-entropy signature
+  corpora (ClamAV-like) the anchors are bytes that web-ish traffic almost
+  never carries and whole payloads are dismissed at C scan speed.
 
 An optional :class:`ScanCache` (LRU over ``(payload, active_bitmap,
 start_state, limit)``) lets repeated payloads — Alexa-style trace workloads
@@ -298,17 +300,26 @@ class RegexPrefilterKernel:
     tables.  The scan's end state is replayed over the final window the
     same way.
 
-    Anchor-dense payloads (counted up front with a C-level ``translate``)
-    and region sets covering most of the payload bail out to the flat
-    kernel, bounding the worst case — e.g. an anchor-flood attack — at
-    flat-kernel speed.  Non-root starts and bounded scans use the flat
-    kernel directly.
+    A carried (non-root) start state is a suffix of the earlier packets
+    that is a pattern prefix, at most ``max_pattern_length`` long, so it can
+    only influence match ends inside the first ``max_pattern_length - 1``
+    bytes: those are one more region, replayed from the carried state, and
+    anchor runs that start inside it merge into it.  ``limit`` cuts the
+    slice the whole scheme runs on.
+
+    The regions' measured coverage (lead-ins included) is summed as the
+    anchor runs are merged; once it reaches ``1 / _DENSITY_BAIL`` of the
+    slice — or at once, when the anchor bytes alone (counted up front with
+    a C-level ``translate``) already do — the scan bails out to the flat
+    kernel, bounding the worst case, e.g. an anchor-flood attack, at a
+    small multiple of flat-kernel cost.  A resumed slice shorter than the
+    window is all lead-in and takes the flat kernel too.
     """
 
     name = "regex"
 
-    #: Bail to the flat kernel when anchor count * window exceeds this
-    #: multiple of the payload length (regions would cover most of it).
+    #: Bail to the flat kernel when the regions' coverage times this reaches
+    #: the slice length (replaying them would cost about a flat scan).
     _DENSITY_BAIL = 2
 
     def __init__(self, automaton) -> None:
@@ -347,53 +358,67 @@ class RegexPrefilterKernel:
         return state
 
     def scan(self, data, active_bitmap: int, state: int, limit) -> CombinedScanResult:
-        """Scan *data*; non-root starts and bounded scans use the DFA."""
+        """Scan *data* (up to *limit* bytes) from *state*."""
+        if limit is not None and limit < len(data):
+            data = data[:limit]
         n = len(data)
-        if state != self._root or (limit is not None and limit < n):
-            return self._fallback.scan(data, active_bitmap, state, limit)
         if self._scanner is None:
             return CombinedScanResult(
                 raw_matches=[], end_state=state, bytes_scanned=n
             )
-        if data.__class__ is not bytes:
-            data = bytes(data)
-        anchor_count = len(data.translate(None, self._non_anchors))
-        if anchor_count == 0:
-            return CombinedScanResult(
-                raw_matches=[], end_state=self._end_state8(data) >> 8, bytes_scanned=n
-            )
         window = self._window
-        if anchor_count * window * self._DENSITY_BAIL >= n:
-            return self._fallback.scan(data, active_bitmap, state, limit)
+        lead = window - 1
         # Merged candidate regions: region (lo, hi] holds the match-end
-        # positions an anchor run can account for.
+        # positions an anchor run — or the carried state — can account for.
         regions: list[list[int]] = []
         last: "list[int] | None" = None
-        for found in self._scanner.finditer(data):
-            lo = found.start()
-            hi = found.end() - 1 + window
-            if last is not None and lo <= last[1]:
-                if hi > last[1]:
+        covered = 0  # bytes the regions replay, lead-ins included
+        if state != self._root:
+            if n < window:
+                # All lead-in, and _end_state8 needs `window` bytes of slice.
+                return self._fallback.scan(data, active_bitmap, state, None)
+            last = [0, lead]
+            regions.append(last)
+            covered = lead
+        if data.__class__ is not bytes:
+            data = bytes(data)
+        bail = self._DENSITY_BAIL
+        anchor_count = len(data.translate(None, self._non_anchors))
+        if anchor_count:
+            if anchor_count * bail >= n:  # flood guard: coverage >= count
+                return self._fallback.scan(data, active_bitmap, state, None)
+            for found in self._scanner.finditer(data):
+                lo = found.start()
+                hi = found.end() - 1 + window
+                if last is not None and lo <= last[1]:
+                    covered += hi - last[1]  # runs arrive in order: hi grows
                     last[1] = hi
-            else:
-                last = [lo, hi]
-                regions.append(last)
+                else:
+                    covered += hi - lo + lead
+                    last = [lo, hi]
+                    regions.append(last)
+                if covered * bail >= n:
+                    return self._fallback.scan(data, active_bitmap, state, None)
         raw_matches: list[RawMatch] = []
         append = raw_matches.append
         delta = self._delta
         f8 = self._f8
         bitmaps = self._bitmaps
         root8 = self._root << 8
-        lead = window - 1
         for lo, hi in regions:
+            # Only the first region can reach back to byte 0, where the
+            # carried state (the root, for a root start) is the true one.
             start = lo - lead
-            if start < 0:
+            if start > 0:
+                current = root8
+            else:
                 start = 0
-            stop = hi if hi < n else n
-            current = root8
-            for cnt, byte in enumerate(data[start:stop], start + 1):
+                current = state << 8
+            for byte in data[start:lo]:
                 current = delta[current + byte]
-                if cnt > lo and current < f8 and bitmaps[current >> 8] & active_bitmap:
+            for cnt, byte in enumerate(data[lo:hi], lo + 1):
+                current = delta[current + byte]
+                if current < f8 and bitmaps[current >> 8] & active_bitmap:
                     append((current >> 8, cnt))
         return CombinedScanResult(
             raw_matches=raw_matches,

@@ -47,3 +47,17 @@ def naive_find_all(patterns, text):
             matches.append((found + len(pattern), index))
             start = found + 1
     return sorted(matches)
+
+
+def spy_on_fallback(kernel):
+    """Log every whole-slice hand-off a regex kernel makes to its flat
+    fallback; returns the list the ``(length, start state)`` pairs go to."""
+    calls = []
+    flat_scan = kernel._fallback.scan
+
+    def scan(data, active_bitmap, state, limit):
+        calls.append((len(data), state))
+        return flat_scan(data, active_bitmap, state, limit)
+
+    kernel._fallback.scan = scan
+    return calls

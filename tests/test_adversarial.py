@@ -25,6 +25,7 @@ from repro.adversarial import (
 )
 from repro.adversarial import differential as differential_module
 from repro.cli import main
+from tests.conftest import spy_on_fallback
 
 CORPUS_PATH = Path(__file__).parent / "corpus" / "regression.json"
 
@@ -167,6 +168,34 @@ class TestRegressionCorpusGate:
         )
         record = replay_case(instance, case)
         assert record["reassembly"]["overflow_drops"] >= 1
+
+    def test_regex_leg_resumes_on_the_prefilter_path(self):
+        # The regex legs only differ from the flat ones while the kernel
+        # stays off its flat fallback; at least one corpus case must carry
+        # a non-root DFA state into a scan the prefilter itself finishes.
+        corpus = Corpus.load(CORPUS_PATH)
+        from repro.core.instance import DPIServiceInstance
+
+        leg = legs_by_name(["mono-regex"])[0]
+        instance = DPIServiceInstance(leg.instance_config(corpus.environment))
+        kernel = instance.automaton._kernel
+        fallback_calls = spy_on_fallback(kernel)
+        prefiltered_resumes = []
+        kernel_scan = kernel.scan
+
+        def scan(data, active_bitmap, state, limit):
+            before = len(fallback_calls)
+            result = kernel_scan(data, active_bitmap, state, limit)
+            if state != instance.automaton.root and len(fallback_calls) == before:
+                prefiltered_resumes.append(len(data))
+            return result
+
+        kernel.scan = scan
+        replay_case(
+            instance,
+            next(c for c in corpus.cases if c.name == "reg-regex-resume-prefilter"),
+        )
+        assert prefiltered_resumes == [111, 43]
 
     def test_policy_pair_diverges_in_released_bytes(self):
         # first-wins and last-wins must resolve the ambiguous retransmit

@@ -236,33 +236,7 @@ class TestRegexMatchDedup:
 
 
 class TestInspectionAPISurface:
-    """The keyword-only inspection contract and its deprecation shims."""
-
-    def test_positional_chain_id_warns_and_still_works(self):
-        instance = DPIServiceInstance(make_config())
-        with pytest.warns(DeprecationWarning, match="chain_id"):
-            output = instance.inspect(b"an attack", 100)
-        assert output.matches[1] == [(0, 9)]
-
-    def test_full_positional_shape_maps_all_slots(self):
-        instance = DPIServiceInstance(make_config(stateful=True))
-        with pytest.warns(DeprecationWarning):
-            instance.inspect(b"att", 100, "f", 1.0, None)
-        with pytest.warns(DeprecationWarning):
-            output = instance.inspect(b"ack", 100, "f", 2.0, None)
-        assert output.matches[1] == [(0, 6)]  # straddle proves flow_key bound
-
-    def test_positional_batch_warns_and_still_works(self):
-        instance = DPIServiceInstance(make_config())
-        with pytest.warns(DeprecationWarning, match="inspect_batch"):
-            outputs = instance.inspect_batch([b"attack", b"clean"], 100)
-        assert outputs[0].has_matches and not outputs[1].has_matches
-
-    def test_positional_keyword_conflict_raises(self):
-        instance = DPIServiceInstance(make_config())
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                instance.inspect(b"x", 100, chain_id=100)
+    """The keyword-only inspection contract."""
 
     def test_missing_chain_id_raises(self):
         instance = DPIServiceInstance(make_config())
@@ -272,9 +246,14 @@ class TestInspectionAPISurface:
             instance.inspect_batch([b"x"])
 
     def test_too_many_positionals_raises(self):
+        # Only the payload is positional; there is no legacy shim.
         instance = DPIServiceInstance(make_config())
         with pytest.raises(TypeError, match="positional"):
-            instance.inspect(b"x", 100, None, 0.0, None, "extra")
+            instance.inspect(b"x", 100)
+        with pytest.raises(TypeError, match="positional"):
+            instance.inspect(b"x", 100, chain_id=100)
+        with pytest.raises(TypeError, match="positional"):
+            instance.inspect_batch([b"x"], 100)
 
     def test_batch_trace_parent_records_spans(self):
         # Regression: inspect_batch used to silently drop tracing.

@@ -13,6 +13,7 @@ from repro.core.kernels import (
 )
 from repro.core.patterns import Pattern
 from repro.core.scanner import MiddleboxProfile
+from tests.conftest import spy_on_fallback
 
 LAYOUTS = ("sparse", "full")
 
@@ -131,6 +132,124 @@ class TestKernelEquivalence:
             b"\x00ab\x00cd\x00",
         ):
             assert_identical(automaton, payload)
+
+
+class TestRegexKernelResume:
+    """Mid-flow resumes and bounded scans stay on the prefilter path.
+
+    ``SIG`` is as long as the window (8) and anchored on its first byte;
+    ``\x02yz`` gives a second, shorter signature.  Filler is never an
+    anchor, so every fallback call below is a decision, not an accident.
+    """
+
+    SIG = b"\x01abcdefg"
+    SHORT = b"\x02yz"
+    WINDOW = 8
+    FILLER = b"filler without anchors, " * 8
+
+    def resumed(self, layout, head, tail, limit=None):
+        """Scan *tail* from the state *head* leaves; (reference result,
+        fallback calls of the regex kernel)."""
+        automaton = build({1: [self.SIG, self.SHORT]}, layout=layout)
+        automaton.select_kernel("reference")
+        state = automaton.scan(head).end_state
+        expected = assert_identical(automaton, tail, state=state, limit=limit)
+        automaton.select_kernel("regex")
+        calls = spy_on_fallback(automaton._kernel)
+        automaton.scan(tail, None, state, limit)
+        return expected, calls
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_match_ends_on_the_last_lead_in_byte(self, layout):
+        # Only the carried state can see it: the tail holds no anchor.
+        (raw, _, _), calls = self.resumed(
+            layout, self.FILLER + self.SIG[:1], self.SIG[1:] + self.FILLER
+        )
+        assert [cnt for _, cnt in raw] == [self.WINDOW - 1]
+        assert calls == []
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_match_ends_on_the_first_byte_past_the_lead_in(self, layout):
+        # Carried state is one byte deep; the whole signature follows.
+        (raw, _, _), calls = self.resumed(
+            layout, self.FILLER + self.SIG[:1], self.SIG + self.FILLER
+        )
+        assert [cnt for _, cnt in raw] == [self.WINDOW]
+        assert calls == []
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_anchor_run_inside_lead_in_reaching_past_it(self, layout):
+        # One straddling match inside the lead-in, then a signature whose
+        # anchor is in the lead-in and whose end is past it: each once.
+        tail = self.SHORT[1:] + b"x" + self.SIG + self.FILLER
+        (raw, _, _), calls = self.resumed(
+            layout, self.FILLER + self.SHORT[:1], tail
+        )
+        assert [cnt for _, cnt in raw] == [2, 3 + self.WINDOW]
+        assert calls == []
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_slice_shorter_than_window_with_carried_state(self, layout):
+        for size in range(self.WINDOW):
+            tail = (self.SIG[1:] + b"zz")[:size]
+            (_, _, scanned), calls = self.resumed(
+                layout, self.FILLER + self.SIG[:1], tail
+            )
+            assert scanned == size
+            assert [length for length, _ in calls] == [size]  # flat's job
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_limit_inside_and_past_the_lead_in(self, layout):
+        tail = self.SIG[1:] + self.FILLER + self.SIG + self.FILLER
+        past = len(self.SIG[1:] + self.FILLER) + 3  # cuts the second SIG
+        for limit in (0, 1, self.WINDOW - 2, self.WINDOW - 1, self.WINDOW,
+                      40, past, len(tail), len(tail) + 5):
+            (raw, _, scanned), calls = self.resumed(
+                layout, self.FILLER + self.SIG[:1], tail, limit=limit
+            )
+            assert scanned == min(limit, len(tail))
+            assert len(raw) == (limit >= self.WINDOW - 1) + (limit >= len(tail))
+            assert bool(calls) == (limit < self.WINDOW)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bounded_root_start_stays_on_prefilter(self, layout):
+        automaton = build({1: [self.SIG]}, layout=layout)
+        payload = self.FILLER + self.SIG + self.FILLER
+        assert_identical(automaton, payload, limit=len(self.FILLER) + 4)
+        automaton.select_kernel("regex")
+        calls = spy_on_fallback(automaton._kernel)
+        for data in (payload, bytearray(payload), memoryview(payload)):
+            automaton.scan(data, None, None, len(self.FILLER) + 4)
+        assert calls == []
+
+    def test_empty_pattern_set_bounded(self):
+        automaton = build({1: []})
+        raw, end, scanned = assert_identical(
+            automaton, b"anything at all", state=automaton.root, limit=4
+        )
+        assert (raw, end, scanned) == ([], automaton.root, 4)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_resumed_anchor_flood_bails_to_flat(self, layout):
+        # Heavy flows must stay heavy at flat speed, not collapse: one
+        # whole-payload hand-off, whatever the spacing of the anchors.
+        for tail in (b"\x01\x02" * 200, b"\x01zz" * 200, b"\x01" + b"z" * 15):
+            tail = self.SIG[1:] + tail * 4
+            _, calls = self.resumed(layout, self.FILLER + self.SIG[:1], tail)
+            assert [size for size, _ in calls] == [len(tail)]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_density_bail_measures_coverage_not_anchor_count(self, layout):
+        # 60 anchor bytes in three runs: count x window says "dense", the
+        # regions they merge into cover a small part of the payload.
+        automaton = build({1: [self.SIG]}, layout=layout)
+        payload = (self.FILLER + b"\x01" * 20) * 3 + self.FILLER
+        assert 60 * self.WINDOW * 2 >= len(payload)
+        assert_identical(automaton, payload)
+        automaton.select_kernel("regex")
+        calls = spy_on_fallback(automaton._kernel)
+        automaton.scan(payload)
+        assert calls == []
 
 
 class TestKernelSelection:

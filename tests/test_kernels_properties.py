@@ -22,6 +22,7 @@ from repro.core.kernels import KERNEL_NAMES
 from repro.core.patterns import Pattern
 from repro.core.scanner import MiddleboxProfile
 from repro.net.reassembly import OVERLAP_POLICIES, StreamReassembler
+from tests.conftest import spy_on_fallback
 
 # A tiny alphabet plus one binary byte: overlap-heavy, and exercises the
 # regex kernel's anchor classes on both printable and non-printable bytes.
@@ -86,6 +87,85 @@ def test_kernels_scan_identically(
         else:
             assert root == expected_root, name
             assert resumed == expected_resumed, name
+
+
+# --- the regex kernel's prefilter path ---------------------------------------
+#
+# The alphabet above makes every byte an anchor, so the regex kernel bails to
+# its flat fallback on each of those payloads.  Here every pattern carries
+# one of two rare bytes (which therefore become the only anchors) and the
+# payloads are mostly filler, so resumes, limits and region merging run
+# through the prefilter itself.
+
+RARE = list(b"\x01\x02")
+FILLER = list(b"xyz")
+
+sparse_patterns = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(FILLER), max_size=3),
+        st.sampled_from(RARE),
+        st.lists(st.sampled_from(FILLER + RARE), max_size=3),
+    ).map(lambda parts: bytes([*parts[0], parts[1], *parts[2]])),
+    min_size=1,
+    max_size=5,
+)
+
+
+@st.composite
+def sparse_flows(draw):
+    """``(patterns, head, tail)``: a flow cut where a pattern straddles.
+
+    The tail is the straddler's remainder, then up to two hot spots (a
+    pattern or a lone rare byte) between filler stretches measured in
+    windows — long enough that the regions do not cover the payload.
+    """
+    patterns = draw(sparse_patterns)
+    window = max(len(pattern) for pattern in patterns)
+
+    def filler(max_windows):
+        length = draw(st.integers(min_value=0, max_value=max_windows * window))
+        return (b"xyz" * length)[draw(st.integers(0, 2)) :][:length]
+
+    hot = st.one_of(
+        st.just(b""),
+        st.sampled_from(patterns),
+        st.sampled_from(RARE).map(lambda byte: bytes([byte])),
+    )
+    straddler = draw(st.sampled_from(patterns))
+    split = draw(st.integers(min_value=0, max_value=len(straddler)))
+    head = filler(2) + draw(hot) + straddler[:split]
+    tail = (
+        straddler[split:] + filler(2) + draw(hot) + filler(12) + draw(hot) + filler(3)
+    )
+    return patterns, head, tail
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flow=sparse_flows(),
+    layout=st.sampled_from(("sparse", "full")),
+    limit=st.one_of(st.none(), st.integers(min_value=0, max_value=150)),
+    wrap=st.sampled_from((bytes, bytearray, memoryview)),
+)
+def test_sparse_anchor_resumes_scan_identically(flow, layout, limit, wrap):
+    patterns, head, tail = flow
+    automaton = build_automaton(patterns, [], layout)
+    window = max(len(pattern) for pattern in patterns)
+    resume_state = automaton.scan(head).end_state
+    results = {}
+    for name in KERNEL_NAMES:
+        automaton.select_kernel(name)
+        if name == "regex":
+            fallback_calls = spy_on_fallback(automaton._kernel)
+        scan = automaton.scan(wrap(tail), None, resume_state, limit)
+        results[name] = (scan.raw_matches, scan.end_state, scan.bytes_scanned)
+    assert results["flat"] == results["reference"]
+    assert results["regex"] == results["reference"]
+    # An anchor-free slice at least a window long is never the fallback's
+    # job, whatever state the flow carried in.
+    scanned = tail if limit is None else tail[:limit]
+    if len(scanned) >= window and not set(scanned) & set(RARE):
+        assert fallback_calls == []
 
 
 @settings(max_examples=40, deadline=None)
