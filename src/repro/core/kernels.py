@@ -13,15 +13,17 @@ Three kernels are provided:
 * ``"reference"`` — the original per-byte Python loops over either layout
   (sparse goto/fail walking or per-state 256-entry rows).  Kept as the
   executable specification the others are checked against.
-* ``"flat"`` — the full-table rows fused into one contiguous
-  ``array("i", num_states * 256)``; a DFA step is a single
-  ``delta[(state << 8) | byte]`` lookup.  The scan loop additionally runs
-  over a pre-shifted list mirror of the fused table (list subscripts and
-  integer ``+`` are specialized by CPython 3.11's adaptive interpreter,
-  ``array`` subscripts and ``|`` are not) and is unrolled eight-ways over
-  strided slices, with every loop variable bound to a local.  Works for
-  both layouts (the sparse goto/fail tables are materialized once at
-  kernel construction).
+* ``"flat"`` — one contiguous next-state table of ``num_states * k`` list
+  entries, where ``k`` is the number of byte classes: every byte some
+  pattern uses is its own class, all the others share class 0 (two bytes
+  have identical columns iff neither labels a trie edge, so the map is
+  read off the pattern set).  The payload is mapped to classes once per
+  scan by ``bytes.translate``; entries hold ``next_state * k``, so a DFA
+  step is a single ``delta[state + cls]`` lookup (list subscripts and
+  integer ``+`` are specialized by CPython 3.11's adaptive interpreter).
+  The loop is unrolled eight-ways over strided slices, with every loop
+  variable bound to a local.  Works for both layouts (the table is built
+  once at kernel construction, straight into this form).
 * ``"regex"`` — a rare-byte prefilter that keeps anchor-sparse scans inside
   CPython's C machinery.  Each distinct literal contributes its rarest byte
   (under a static traffic-frequency prior) to one anchor character class,
@@ -47,7 +49,6 @@ replay the same popular pages — skip the automaton entirely.
 from __future__ import annotations
 
 import re
-from array import array
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -143,71 +144,97 @@ class ReferenceKernel:
         )
 
 
-def _fuse_flat_table(automaton) -> array:
-    """One contiguous next-state table: entry ``(state << 8) | byte``.
+def _byte_classes(patterns) -> "tuple[int, bytes | None]":
+    """The class count ``k`` and byte -> class ``translate`` table of a
+    pattern set.
 
-    For the ``full`` layout the per-state rows are fused as-is; for the
-    ``sparse`` layout the dense rows are materialized breadth-first from the
+    Bytes no pattern uses never label a trie edge, so their table columns
+    are identical: they share class 0, and the used bytes are classes
+    ``1..`` in byte order.  Once 255 byte values are in use merging saves
+    nothing: every byte is its own class and the table is None (nothing to
+    translate).
+    """
+    used = sorted(set().union(*patterns))
+    if len(used) >= 255:
+        return 256, None
+    classes = bytearray(256)
+    for cls, byte in enumerate(used, 1):
+        classes[byte] = cls
+    return len(used) + 1, bytes(classes)
+
+
+def _build_table(automaton, k: int, classes: "bytes | None") -> list:
+    """The next-state table: entry ``state * k + cls`` holds ``next * k``.
+
+    For the ``sparse`` layout the rows are filled breadth-first from the
     goto/fail tables (a state's failure state is always shallower, so its
-    row is complete before the state is visited).
+    row is complete before the state is visited); for the ``full`` layout
+    one column per class is read out of the per-state rows.  Either way a
+    state's ``next * k`` is one int object shared by every entry naming it.
     """
     num_states = automaton.num_states
+    # byte -> class; the identity when nothing is merged.
+    column = range(256) if classes is None else classes
     if automaton._layout_is_full:
-        flat = array("i")
+        canon = [state * k for state in range(num_states)]
+        members = [column.index(cls) for cls in range(k)]  # one byte per class
+        delta = []
         for row in automaton._delta:
-            flat.extend(row.tolist())
-        return flat
+            delta.extend([canon[row[byte]] for byte in members])
+        return delta
     goto = automaton._goto
     fail = automaton._fail
     root = automaton.root
-    rows: "list[array | None]" = [None] * num_states
-    root_row = array("i", [root]) * 256
-    for byte, child in goto[root].items():
-        root_row[byte] = child
-    rows[root] = root_row
-    queue = deque(goto[root].values())
+    delta = [root * k] * (num_states * k)
+    queue = deque([root])
     while queue:
         state = queue.popleft()
-        row = array("i", rows[fail[state]])
+        row = state * k
+        inherited = fail[state] * k  # the root fails to itself: a no-op copy
+        delta[row : row + k] = delta[inherited : inherited + k]
         for byte, child in goto[state].items():
-            row[byte] = child
-        rows[state] = row
+            delta[row + column[byte]] = child * k
         queue.extend(goto[state].values())
-    flat = array("i")
-    for row in rows:
-        flat.extend(row)
-    return flat
+    return delta
 
 
 class FlatTableKernel:
     """Contiguous-table DFA steps, specialization-friendly and unrolled.
 
-    ``flat_table`` is the canonical fused ``array("i")``; the scan loop runs
-    over a list mirror whose entries are pre-shifted (``next_state << 8``)
-    so one step is ``state = delta[state + byte]`` with no per-byte shift,
-    and the accept test is a single compare against ``num_accepting << 8``.
-    The mirror's ints are built through one canon table so the ~256 rows
-    referencing each state share one int object.
+    One list of ``num_states * k`` entries (``k`` byte classes, see
+    :func:`_byte_classes`) is the only transition table: entries are
+    pre-multiplied (``next_state * k``) so one step is
+    ``state = delta[state + cls]`` with no per-byte multiply, and the accept
+    test is a single compare against ``num_accepting * k``.
     """
 
     name = "flat"
 
     def __init__(self, automaton) -> None:
         self._bitmaps = automaton._bitmaps
-        self.flat_table = _fuse_flat_table(automaton)
-        canon = [s << 8 for s in range(automaton.num_states)]
-        self._delta = [canon[v] for v in self.flat_table]
-        self._f8 = automaton.num_accepting << 8
+        self._k, self._classes = _byte_classes(automaton._distinct_patterns)
+        self._delta = _build_table(automaton, self._k, self._classes)
+        self._fk = automaton.num_accepting * self._k
+
+    def _columns(self, view):
+        """*view*'s bytes as table columns: their classes."""
+        if self._classes is None:
+            return view
+        if view.__class__ is memoryview:  # the one payload type without translate
+            view = view.tobytes()
+        return view.translate(self._classes)
 
     def scan(self, data, active_bitmap: int, state: int, limit) -> CombinedScanResult:
         """Scan *data* (up to *limit* bytes) from *state*."""
         view = data if limit is None or limit >= len(data) else data[:limit]
+        view = self._columns(view)
         raw_matches: list[RawMatch] = []
         append = raw_matches.append
         delta = self._delta
-        f8 = self._f8
+        k = self._k
+        fk = self._fk
         bitmaps = self._bitmaps
-        state <<= 8
+        state *= k
         n = len(view)
         end = (n >> 3) << 3
         cnt = 0
@@ -222,36 +249,36 @@ class FlatTableKernel:
             view[7:end:8],
         ):
             state = delta[state + b0]
-            if state < f8 and bitmaps[state >> 8] & active_bitmap:
-                append((state >> 8, cnt + 1))
+            if state < fk and bitmaps[state // k] & active_bitmap:
+                append((state // k, cnt + 1))
             state = delta[state + b1]
-            if state < f8 and bitmaps[state >> 8] & active_bitmap:
-                append((state >> 8, cnt + 2))
+            if state < fk and bitmaps[state // k] & active_bitmap:
+                append((state // k, cnt + 2))
             state = delta[state + b2]
-            if state < f8 and bitmaps[state >> 8] & active_bitmap:
-                append((state >> 8, cnt + 3))
+            if state < fk and bitmaps[state // k] & active_bitmap:
+                append((state // k, cnt + 3))
             state = delta[state + b3]
-            if state < f8 and bitmaps[state >> 8] & active_bitmap:
-                append((state >> 8, cnt + 4))
+            if state < fk and bitmaps[state // k] & active_bitmap:
+                append((state // k, cnt + 4))
             state = delta[state + b4]
-            if state < f8 and bitmaps[state >> 8] & active_bitmap:
-                append((state >> 8, cnt + 5))
+            if state < fk and bitmaps[state // k] & active_bitmap:
+                append((state // k, cnt + 5))
             state = delta[state + b5]
-            if state < f8 and bitmaps[state >> 8] & active_bitmap:
-                append((state >> 8, cnt + 6))
+            if state < fk and bitmaps[state // k] & active_bitmap:
+                append((state // k, cnt + 6))
             state = delta[state + b6]
-            if state < f8 and bitmaps[state >> 8] & active_bitmap:
-                append((state >> 8, cnt + 7))
+            if state < fk and bitmaps[state // k] & active_bitmap:
+                append((state // k, cnt + 7))
             state = delta[state + b7]
-            if state < f8 and bitmaps[state >> 8] & active_bitmap:
-                append((state >> 8, cnt + 8))
+            if state < fk and bitmaps[state // k] & active_bitmap:
+                append((state // k, cnt + 8))
             cnt += 8
         for cnt, byte in enumerate(view[end:], end + 1):
             state = delta[state + byte]
-            if state < f8 and bitmaps[state >> 8] & active_bitmap:
-                append((state >> 8, cnt))
+            if state < fk and bitmaps[state // k] & active_bitmap:
+                append((state // k, cnt))
         return CombinedScanResult(
-            raw_matches=raw_matches, end_state=state >> 8, bytes_scanned=n
+            raw_matches=raw_matches, end_state=state // k, bytes_scanned=n
         )
 
 
@@ -327,7 +354,9 @@ class RegexPrefilterKernel:
         self._bitmaps = automaton._bitmaps
         self._fallback = FlatTableKernel(automaton)
         self._delta = self._fallback._delta
-        self._f8 = self._fallback._f8
+        self._k = self._fallback._k
+        self._fk = self._fallback._fk
+        self._columns = self._fallback._columns
         patterns = automaton._distinct_patterns
         self._window = max((len(p) for p in patterns), default=0)
         if patterns:
@@ -346,15 +375,15 @@ class RegexPrefilterKernel:
             self._scanner = None
             self._non_anchors = bytes(range(256))
 
-    def _end_state8(self, data) -> int:
-        """The (pre-shifted) state of a root-start scan over all of *data*."""
+    def _end_row(self, data) -> int:
+        """The (pre-multiplied) state of a root-start scan over all of *data*."""
         start = len(data) - self._window
         if start < 0:
             start = 0
-        state = self._root << 8
+        state = self._root * self._k
         delta = self._delta
-        for byte in data[start:]:
-            state = delta[state + byte]
+        for cls in self._columns(data[start:]):
+            state = delta[state + cls]
         return state
 
     def scan(self, data, active_bitmap: int, state: int, limit) -> CombinedScanResult:
@@ -375,7 +404,7 @@ class RegexPrefilterKernel:
         covered = 0  # bytes the regions replay, lead-ins included
         if state != self._root:
             if n < window:
-                # All lead-in, and _end_state8 needs `window` bytes of slice.
+                # All lead-in, and _end_row needs `window` bytes of slice.
                 return self._fallback.scan(data, active_bitmap, state, None)
             last = [0, lead]
             regions.append(last)
@@ -402,27 +431,29 @@ class RegexPrefilterKernel:
         raw_matches: list[RawMatch] = []
         append = raw_matches.append
         delta = self._delta
-        f8 = self._f8
+        k = self._k
+        fk = self._fk
         bitmaps = self._bitmaps
-        root8 = self._root << 8
+        columns = self._columns
+        root_row = self._root * k
         for lo, hi in regions:
             # Only the first region can reach back to byte 0, where the
             # carried state (the root, for a root start) is the true one.
             start = lo - lead
             if start > 0:
-                current = root8
+                current = root_row
             else:
                 start = 0
-                current = state << 8
-            for byte in data[start:lo]:
-                current = delta[current + byte]
-            for cnt, byte in enumerate(data[lo:hi], lo + 1):
-                current = delta[current + byte]
-                if current < f8 and bitmaps[current >> 8] & active_bitmap:
-                    append((current >> 8, cnt))
+                current = state * k
+            for cls in columns(data[start:lo]):
+                current = delta[current + cls]
+            for cnt, cls in enumerate(columns(data[lo:hi]), lo + 1):
+                current = delta[current + cls]
+                if current < fk and bitmaps[current // k] & active_bitmap:
+                    append((current // k, cnt))
         return CombinedScanResult(
             raw_matches=raw_matches,
-            end_state=self._end_state8(data) >> 8,
+            end_state=self._end_row(data) // k,
             bytes_scanned=n,
         )
 

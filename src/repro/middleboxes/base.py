@@ -39,6 +39,10 @@ class Action(enum.Enum):
     ALERT = "alert"  # forward, but log an alert
 
 
+#: Sort rank of an action among a packet's rule hits: most severe first.
+_SEVERITY = {Action.DROP: 0, Action.ALERT: 1, Action.FORWARD: 2}
+
+
 @dataclass(frozen=True)
 class Rule:
     """A middlebox rule: fire *action* when the conditions are met.
@@ -115,6 +119,8 @@ class RuleEngine:
         pattern — are examined, mirroring how signature engines avoid
         touching their full rule set on every packet.  A matchless packet
         costs nothing here."""
+        if not matches:
+            return []
         matched_ids: dict[int, list] = {}
         for pattern_id, position in matches:
             matched_ids.setdefault(pattern_id, []).append(position)
@@ -135,8 +141,11 @@ class RuleEngine:
                         rule_id=rule.rule_id, packet_id=packet_id, positions=positions
                     )
                 )
-        severity = {Action.DROP: 0, Action.ALERT: 1, Action.FORWARD: 2}
-        hits.sort(key=lambda hit: (severity[self._rules[hit.rule_id].action], hit.rule_id))
+        if len(hits) > 1:
+            rules = self._rules
+            hits.sort(
+                key=lambda hit: (_SEVERITY[rules[hit.rule_id].action], hit.rule_id)
+            )
         return hits
 
     def action_of(self, rule_id: int) -> Action:

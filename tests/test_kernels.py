@@ -1,5 +1,8 @@
 """Unit tests for the scan-kernel layer (:mod:`repro.core.kernels`)."""
 
+import itertools
+from array import array
+
 import pytest
 
 from repro.core.combined import CombinedAutomaton
@@ -13,6 +16,11 @@ from repro.core.kernels import (
 )
 from repro.core.patterns import Pattern
 from repro.core.scanner import MiddleboxProfile
+from repro.workloads.patterns import (
+    SNORT_PATTERN_COUNT,
+    generate_snort_like,
+    random_split,
+)
 from tests.conftest import spy_on_fallback
 
 LAYOUTS = ("sparse", "full")
@@ -132,6 +140,125 @@ class TestKernelEquivalence:
             b"\x00ab\x00cd\x00",
         ):
             assert_identical(automaton, payload)
+
+
+class TestByteClassMap:
+    """Edges of the byte -> class map the flat table's columns stand for
+    (the regex kernel replays its regions through the same table)."""
+
+    @staticmethod
+    def table_width(automaton):
+        kernel = FlatTableKernel(automaton)
+        return len(kernel._delta) // automaton.num_states
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_empty_pattern_set_has_one_class(self, layout):
+        automaton = build({1: []}, layout=layout)
+        assert self.table_width(automaton) == 1
+        for payload in (b"", b"x", bytes(range(256))):
+            raw, end, scanned = assert_identical(automaton, payload)
+            assert (raw, end, scanned) == ([], automaton.root, len(payload))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_one_byte_alphabet(self, layout):
+        automaton = build({1: [b"a", b"aaa"]}, layout=layout)
+        assert self.table_width(automaton) == 2
+        raw, _, _ = assert_identical(automaton, b"aaaa\x00aab a")
+        # One raw match per accepting state reached ("aaa" carries "a" too).
+        assert [cnt for _, cnt in raw] == [1, 2, 3, 4, 6, 7, 10]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("distinct", (254, 255, 256))
+    def test_alphabet_at_the_identity_threshold(self, layout, distinct):
+        # 254 bytes in use still merge the last two; from 255 on every byte
+        # is its own class and the payload is scanned untranslated.
+        used = bytes(range(1, distinct)) + b"\x00"
+        patterns = [used[i : i + 5] for i in range(0, distinct, 5)]
+        automaton = build({1: patterns}, layout=layout)
+        kernel = FlatTableKernel(automaton)
+        assert (kernel._classes is None) == (distinct >= 255)
+        assert self.table_width(automaton) == min(distinct + 1, 256)
+        payload = b"\xfe\xff" + used + b"\xff\xfe" + used[::-1] + used[3:40]
+        raw, _, _ = assert_identical(automaton, payload)
+        assert len(raw) >= len(patterns)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_payload_of_only_out_of_alphabet_bytes(self, layout):
+        automaton = build({1: [b"abc", b"cab"]}, layout=layout)
+        for payload in (b"xyz" * 11, bytes(range(128, 256)), b"\x00"):
+            raw, end, _ = assert_identical(automaton, payload)
+            assert raw == [] and end == automaton.root
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_out_of_alphabet_byte_splits_a_would_be_match(self, layout):
+        automaton = build({1: [b"abcd", b"cd"]}, layout=layout)
+        raw, _, _ = assert_identical(automaton, b"ab\x00cd ab-cd abXcd abcd")
+        # "cd" three times, then the one state that carries "abcd" and "cd".
+        assert [cnt for _, cnt in raw] == [5, 11, 17, 22]
+        assert len(automaton.match_entry(raw[-1][0])) == 2
+        # Two different outsiders are one class, not each other's match.
+        raw, _, _ = assert_identical(automaton, b"ab\x00d ab\xffd")
+        assert raw == []
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_payload_types_scan_alike(self, layout):
+        automaton = build({1: [b"needle", b"dle"]}, layout=layout)
+        payload = b"hay needle hay \x00\xff needle"
+        expected = assert_identical(automaton, payload)
+        for wrap in (bytearray, memoryview):
+            assert assert_identical(automaton, wrap(payload)) == expected
+        assert assert_identical(automaton, memoryview(payload)[4:18]) == (
+            assert_identical(automaton, payload[4:18])
+        )
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_limit_inside_a_pattern(self, layout):
+        automaton = build({1: [b"attack"]}, layout=layout)
+        payload = b"__attack__"
+        for limit in range(len(payload) + 2):
+            raw, end, scanned = assert_identical(automaton, payload, limit=limit)
+            assert scanned == min(limit, len(payload))
+            assert len(raw) == (limit >= 8)
+            # Cut inside (or right after) the pattern the end state is that
+            # prefix, not the root.
+            assert (end != automaton.root) == (3 <= limit <= 8)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_resume_from_a_carried_non_root_state(self, layout):
+        automaton = build({1: [b"attack", b"tack!"]}, layout=layout)
+        automaton.select_kernel("reference")
+        carried = automaton.scan(b"an att").end_state
+        assert carried != automaton.root
+        raw, _, _ = assert_identical(automaton, b"ack! then", state=carried)
+        assert sorted(cnt for _, cnt in raw) == [3, 4]
+        # An outsider first: the carried prefix is dropped.
+        raw, _, _ = assert_identical(automaton, b"\x00ack!", state=carried)
+        assert raw == []
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_accepting_state_ids_beyond_k_and_256(self, layout):
+        # Every string over {a, b} up to length 8: 510 accepting states on a
+        # three-column table, so most ids exceed both k and 256 and go
+        # through the pre-multiply / divide round trip.
+        patterns = [
+            bytes(word)
+            for length in range(1, 9)
+            for word in itertools.product(b"ab", repeat=length)
+        ]
+        automaton = build({1: patterns}, layout=layout)
+        assert self.table_width(automaton) == 3
+        assert automaton.num_accepting == 510
+        raw, _, _ = assert_identical(automaton, b"abbabaab\x00babbbaba" * 3)
+        states = {state for state, _ in raw}
+        assert min(states) < 3 and max(states) >= 256
+        # The same with the identity map: 300 accepting states, 256 columns.
+        wide = [bytes([b]) for b in range(256)] + [
+            bytes([b, b ^ 1]) for b in range(44)
+        ]
+        automaton = build({1: wide}, layout=layout)
+        assert self.table_width(automaton) == 256
+        raw, _, _ = assert_identical(automaton, bytes(range(256)) * 2)
+        assert max(state for state, _ in raw) >= 256
 
 
 class TestRegexKernelResume:
@@ -276,9 +403,21 @@ class TestKernelSelection:
         assert automaton.kernel_name == "flat"
 
     def test_flat_table_shape(self):
-        automaton = build({1: [b"ab"]}, layout="full")
-        kernel = FlatTableKernel(automaton)
-        assert len(kernel.flat_table) == automaton.num_states * 256
+        # One column per distinct pattern byte plus one for all the others,
+        # capped at 256.
+        for patterns, k in (
+            ([b"ab"], 3),
+            ([b"ab", b"ba", b"abba"], 3),
+            ([bytes(range(200))], 201),
+            ([bytes(range(254))], 255),
+            ([bytes(range(255))], 256),
+            ([bytes(range(256))], 256),
+        ):
+            for layout in LAYOUTS:
+                automaton = build({1: patterns}, layout=layout)
+                kernel = FlatTableKernel(automaton)
+                assert len(kernel._delta) == automaton.num_states * k
+                assert (kernel._classes is None) == (k == 256)
 
     def test_regex_kernel_anchor_bytes_cover_patterns(self):
         automaton = build({1: [b"abc\xffx", b"plain"]})
@@ -302,6 +441,54 @@ class TestKernelSelection:
                 chain_map={},
                 scan_cache_size=-1,
             )
+
+
+def big_sequences(root, floor):
+    """Every list/array of at least *floor* elements reachable through the
+    attributes of *root* and of the repro objects it holds, by identity."""
+    found, seen, stack = {}, set(), [root]
+    while stack:
+        owner = stack.pop()
+        if id(owner) in seen:
+            continue
+        seen.add(id(owner))
+        for name, value in vars(owner).items():
+            if isinstance(value, (list, array)) and len(value) >= floor:
+                found[id(value)] = f"{type(owner).__name__}.{name}"
+            elif type(value).__module__.startswith("repro.") and hasattr(
+                value, "__dict__"
+            ):
+                stack.append(value)
+    return found
+
+
+class TestTableSize:
+    """The paper-sized Snort set fits one compact table — a size, not a
+    timing, so the second copy cannot come back unnoticed."""
+
+    @pytest.mark.parametrize("kernel", ("flat", "regex"))
+    def test_snort_set_holds_one_table_of_class_columns(self, kernel):
+        literals = generate_snort_like(SNORT_PATTERN_COUNT, seed=1)
+        halves = random_split(literals, parts=2, seed=1, shared_fraction=0.10)
+        instance = DPIServiceInstance(
+            InstanceConfig(
+                pattern_sets={
+                    mid: [Pattern(i, data) for i, data in enumerate(half)]
+                    for mid, half in enumerate(halves, 1)
+                },
+                profiles={1: MiddleboxProfile(1), 2: MiddleboxProfile(2)},
+                chain_map={100: (1, 2)},
+                kernel=kernel,
+            )
+        )
+        automaton = instance.automaton
+        flat = automaton._kernel if kernel == "flat" else automaton._kernel._fallback
+        k = len(set(b"".join(literals))) + 1
+        entries = automaton.num_states * k
+        assert len(flat._delta) == entries
+        assert entries * 3 <= automaton.num_states * 256
+        found = big_sequences(instance, entries)
+        assert set(found) == {id(flat._delta)}, found.values()
 
 
 class TestScanCache:

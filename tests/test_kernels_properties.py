@@ -5,7 +5,9 @@ prefixes, and suffix matches) are scanned over random payloads — from the
 root, resumed mid-flow, and under byte limits — and every kernel must
 produce exactly the reference kernel's raw matches, end state, and byte
 count.  A second property checks the same at the instance level, where raw
-matches become middlebox reports.
+matches become middlebox reports.  A third compares every kernel — the
+reference included — against ``perf.oracle.find_all``, which shares no code
+with the automaton, on payloads that are mostly bytes no pattern uses.
 """
 
 import random
@@ -15,6 +17,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
+
+from perf.oracle import find_all
 
 from repro.core.combined import CombinedAutomaton
 from repro.core.instance import DPIServiceInstance, InstanceConfig
@@ -166,6 +170,78 @@ def test_sparse_anchor_resumes_scan_identically(flow, layout, limit, wrap):
     scanned = tail if limit is None else tail[:limit]
     if len(scanned) >= window and not set(scanned) & set(RARE):
         assert fallback_calls == []
+
+
+# --- the independent oracle, on the byte-class map ---------------------------
+#
+# Patterns over 2-6 byte values, payloads that draw at least half their bytes
+# from outside them: the flat table has 3-7 columns and most payload bytes
+# land in the shared "other" class, so it is the class map — not the identity
+# path the 256-value corpora take — that gets fuzzed.
+
+
+@st.composite
+def small_alphabet_flows(draw):
+    """``(patterns, payload, cut)`` with at least half of *payload* outside
+    the patterns' alphabet."""
+    alphabet = draw(
+        st.lists(st.integers(0, 255), min_size=2, max_size=6, unique=True)
+    )
+    patterns = draw(
+        st.lists(
+            st.builds(
+                bytes, st.lists(st.sampled_from(alphabet), min_size=1, max_size=5)
+            ),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    inside = st.one_of(
+        st.sampled_from(patterns),
+        st.builds(bytes, st.lists(st.sampled_from(alphabet), max_size=4)),
+    )
+    outsider = st.integers(0, 255).filter(lambda byte: byte not in alphabet)
+    payload = b""
+    for chunk in draw(st.lists(inside, max_size=8)):
+        run = draw(
+            st.lists(outsider, min_size=len(chunk), max_size=len(chunk) + 6)
+        )
+        split = draw(st.integers(0, len(run)))
+        payload += bytes(run[:split]) + chunk + bytes(run[split:])
+    cut = draw(st.integers(0, len(payload)))
+    return patterns, payload, cut
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    flow=small_alphabet_flows(),
+    layout=st.sampled_from(("sparse", "full")),
+    wrap=st.sampled_from((bytes, bytearray, memoryview)),
+)
+def test_kernels_agree_with_the_independent_oracle(flow, layout, wrap):
+    patterns, payload, cut = flow
+    expected = sorted(
+        (end, index)
+        for index, pattern in enumerate(patterns)
+        for end in find_all(payload, pattern)
+    )
+    automaton = build_automaton(patterns, [], layout)
+
+    def resolved(scan, offset=0):
+        return [
+            (cnt + offset, pattern_id)
+            for state, cnt in scan.raw_matches
+            for _, pattern_id in automaton.match_entry(state)
+        ]
+
+    for name in KERNEL_NAMES:
+        automaton.select_kernel(name)
+        assert sorted(resolved(automaton.scan(wrap(payload)))) == expected, name
+        # The same flow in two packets: the carried state crosses the cut.
+        head = automaton.scan(wrap(payload[:cut]))
+        tail = automaton.scan(wrap(payload[cut:]), None, head.end_state)
+        assert sorted(resolved(head) + resolved(tail, cut)) == expected, name
 
 
 @settings(max_examples=40, deadline=None)

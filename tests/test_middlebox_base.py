@@ -9,6 +9,7 @@ from repro.middleboxes.base import (
     MiddleboxChainFunction,
     Rule,
     RuleEngine,
+    RuleHit,
 )
 from repro.net.addresses import IPv4Address, MACAddress
 from repro.net.nsh import build_result_packet
@@ -66,6 +67,26 @@ class TestRuleEngine:
         )
         hits = engine.evaluate([(5, 10)])
         assert [h.rule_id for h in hits] == [2, 1]
+
+    def test_three_hit_packet_orders_by_severity_then_rule_id(self):
+        engine = RuleEngine(
+            [
+                Rule(1, (5,), action=Action.FORWARD),
+                Rule(4, (6, 5), action=Action.ALERT),
+                Rule(9, (6,), action=Action.DROP),
+                Rule(2, (7,), action=Action.DROP),  # pattern 7 never matches
+            ]
+        )
+        hits = engine.evaluate([(5, 10), (6, 20), (5, 30)], packet_id=77)
+        assert hits == [
+            RuleHit(rule_id=9, packet_id=77, positions=(20,)),
+            RuleHit(rule_id=4, packet_id=77, positions=(20, 10, 30)),
+            RuleHit(rule_id=1, packet_id=77, positions=(10, 30)),
+        ]
+        # Equal severity falls back to rule id, whatever the insertion order.
+        ties = RuleEngine([Rule(8, (5,)), Rule(3, (5,)), Rule(6, (5,))])
+        assert [h.rule_id for h in ties.evaluate([(5, 1)])] == [3, 6, 8]
+        assert engine.evaluate([], packet_id=77) == []
 
     def test_verdict_severity(self):
         engine = RuleEngine(
