@@ -32,7 +32,7 @@ from repro.core.flow_table import FlowScanState, FlowTable
 from repro.core.scanner import MiddleboxProfile, ScanResult, VirtualScanner
 from repro.core.anchors import extract_anchors
 from repro.core.regex import RegexPreFilter
-from repro.core.reports import MatchRecord, MatchReport, RangeRecord
+from repro.core.reports import MatchReport
 from repro.core.messages import (
     AddPatternsMessage,
     RegisterMiddleboxMessage,
@@ -66,8 +66,6 @@ __all__ = [
     "VirtualScanner",
     "extract_anchors",
     "RegexPreFilter",
-    "MatchRecord",
-    "RangeRecord",
     "MatchReport",
     "RegisterMiddleboxMessage",
     "UnregisterMiddleboxMessage",

@@ -30,7 +30,12 @@ from repro.core.sharding import SHARDED_KERNEL_NAME, ShardedAutomaton
 from repro.core.workers import BACKEND_NAMES
 from repro.net.flows import FiveTuple
 from repro.net.host import NetworkFunction
-from repro.net.nsh import attach_nsh_results, build_result_packet, encode_tag_results
+from repro.net.nsh import (
+    attach_nsh_results,
+    build_directed_result_packet,
+    build_result_packet,
+    encode_tag_results,
+)
 from repro.net.packet import Packet
 
 RESULT_MODES = ("result_packet", "nsh", "tags")
@@ -370,36 +375,41 @@ class DPIServiceInstance:
         the instance has a tracing telemetry hub, the scan is recorded as an
         ``inspect`` span under it.
         """
-        self._require_alive()
+        if not self.alive:
+            self._require_alive()
         telemetry_on = self._m_packets is not None
         cache = self.automaton.scan_cache if telemetry_on else None
         cache_hits_before = cache.hits if cache is not None else 0
         started = time.perf_counter()
         scan = self.scanner.scan_packet(payload, chain_id, flow_key=flow_key, now=now)
+        prefilter = self.prefilter
+        telemetry = self.telemetry
         final_matches: dict[int, list[tuple[int, int]]] = {}
+        total = 0
         for middlebox_id, raw in scan.matches.items():
-            reportable, anchor_ids = split_matches(raw)
-            if anchor_ids or self.prefilter.has_regexes(middlebox_id):
-                confirmed = self.prefilter.confirm(middlebox_id, payload, anchor_ids)
-                if confirmed:
-                    self.telemetry.regex_confirmations += len(confirmed)
-                    reportable.extend(confirmed)
-                reportable.extend(self.prefilter.scan_fallback(middlebox_id, payload))
+            # No raw match, no anchor: nothing to split or confirm.
+            reportable, anchor_ids = split_matches(raw) if raw else (raw, None)
+            found = prefilter.scan_fallback(middlebox_id, payload)
+            if anchor_ids:
+                confirmed = prefilter.confirm(middlebox_id, payload, anchor_ids)
+                telemetry.regex_confirmations += len(confirmed)
+                found = confirmed + found
+            if found:
+                reportable.extend(found)
                 # confirm and scan_fallback can both report the same
                 # (pattern id, position) when a regex has anchors *and* a
                 # fallback expression; report each match once.
                 if len(reportable) > 1:
                     reportable = list(dict.fromkeys(reportable))
             final_matches[middlebox_id] = reportable
-        report = MatchReport.from_matches(final_matches)
+            total += len(reportable)
+        report = MatchReport.from_matches(final_matches) if total else MatchReport()
         elapsed = time.perf_counter() - started
 
-        telemetry = self.telemetry
         telemetry.packets_scanned += 1
         telemetry.bytes_scanned += scan.bytes_scanned
         telemetry.scan_seconds += elapsed
         telemetry.active_flows = len(self.scanner.flow_table)
-        total = sum(len(v) for v in final_matches.values())
         telemetry.total_matches += total
         if total:
             telemetry.packets_with_matches += 1
@@ -490,8 +500,10 @@ class DPIServiceInstance:
         self.scanner.flow_table.import_flow(flow_key, exported)
 
     def drop_flow(self, flow_key) -> None:
-        """Forget one flow's scan state."""
+        """Forget one flow: its scan state and its accumulated work (a
+        stateless chain's flows have the second without the first)."""
         self.scanner.flow_table.remove(flow_key)
+        self.telemetry.flow_work.pop(flow_key, None)
 
     def heavy_flows(self, top: int = 5) -> list[tuple[Hashable, float]]:
         """Flows ranked by accumulated scan work (for the stress monitor)."""
@@ -560,21 +572,20 @@ class DPIServiceFunction(NetworkFunction):
             # chains (the loss the failover-time budget bounds).
             self.packets_blackholed += 1
             return []
-        tag = packet.outer_vlan
-        if packet.is_result_packet or tag is None:
+        tags = packet.vlan_stack
+        if packet.describes_packet_id is not None or not tags:
             self.packets_skipped += 1
             return [packet]
-        chain_id = tag.vid
+        chain_id = tags[-1].vid
         if chain_id not in self.instance.scanner.chain_map:
             self.packets_skipped += 1
             return [packet]
-        flow_key = FiveTuple.of(packet)
-        now = self.host.simulator.now if hasattr(self, "host") else 0.0
+        host = self.host
         output = self.instance.inspect(
             packet.payload,
             chain_id=chain_id,
-            flow_key=flow_key,
-            now=now,
+            flow_key=FiveTuple.of(packet),
+            now=host.simulator.now if host is not None else 0.0,
             trace_parent=packet.trace,
         )
         self.packets_forwarded += 1
@@ -583,27 +594,27 @@ class DPIServiceFunction(NetworkFunction):
             return [packet]
         if chain_id in self.direct_chains:
             return self._emit_direct(packet, output)
+        if self.result_mode == "result_packet":
+            # Built from the still unmarked header, which the result packet
+            # then shares: one header copy per matched packet, the mark's.
+            result = build_result_packet(packet, output.report)
+            packet.mark_matched()
+            if self.corrupt_results and result.payload:
+                result.payload = (
+                    bytes([result.payload[0] ^ 0xFF]) + result.payload[1:]
+                )
+                self.results_corrupted += 1
+            return [packet, result]
         packet.mark_matched()
         if self.result_mode == "nsh":
             attach_nsh_results(packet, output.report, service_path=chain_id)
-            return [packet]
-        if self.result_mode == "tags":
+        else:
             encode_tag_results(packet, output.report)
-            return [packet]
-        result = build_result_packet(packet, output.report)
-        if self.corrupt_results and result.payload:
-            result.payload = (
-                bytes([result.payload[0] ^ 0xFF]) + result.payload[1:]
-            )
-            self.results_corrupted += 1
-        return [packet, result]
+        return [packet]
 
     def _emit_direct(self, packet: Packet, output: InspectionOutput) -> list[Packet]:
         """Read-only mode: data packet continues; one result packet goes
         straight to every middlebox that has matches."""
-        from repro.net.nsh import build_directed_result_packet
-        from repro.core.reports import MatchReport
-
         emitted = [packet]
         for middlebox_id, matches in output.matches.items():
             if not matches:

@@ -30,7 +30,6 @@ beyond 64 KiB.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 RECORD_LENGTH = 6
 COMPACT_RECORD_LENGTH = 4
@@ -44,105 +43,63 @@ MAX_RUN_LENGTH = 0xFF
 
 _HEADER = struct.Struct(">BBH")
 _BLOCK_HEADER = struct.Struct(">HH")
+#: The u24 position and the u8 run length of a record travel as one
+#: big-endian u32, ``position << 8 | run_length``.
+_RECORD = struct.Struct(">HI")
 
 
-@dataclass(frozen=True)
-class MatchRecord:
-    """One pattern match: ``position`` is the match's end offset."""
+def compress_matches(matches: list) -> list:
+    """Turn a list of ``(pattern id, position)`` pairs into ``(pattern id,
+    position, run length)`` records, folding runs of consecutive positions
+    of the same pattern into one record.
 
-    pattern_id: int
-    position: int
-
-    def __post_init__(self) -> None:
-        _check_record_fields(self.pattern_id, self.position, 1)
-
-    def positions(self) -> list[int]:
-        """All end positions this record covers."""
-        return [self.position]
-
-
-@dataclass(frozen=True)
-class RangeRecord:
-    """A run of matches of one pattern at consecutive end positions."""
-
-    pattern_id: int
-    start_position: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 2:
-            raise ValueError(f"range records need count >= 2, got {self.count}")
-        _check_record_fields(self.pattern_id, self.start_position, self.count)
-
-    def positions(self) -> list[int]:
-        """All end positions this record covers."""
-        return list(
-            range(self.start_position, self.start_position + self.count)
-        )
-
-
-def _check_record_fields(pattern_id: int, position: int, count: int) -> None:
-    if not 0 <= pattern_id <= MAX_PATTERN_ID:
-        raise ValueError(f"pattern id out of range: {pattern_id}")
-    if not 0 <= position <= MAX_POSITION:
-        raise ValueError(f"position out of range: {position}")
-    if not 1 <= count <= MAX_RUN_LENGTH:
-        raise ValueError(f"run length out of range: {count}")
-
-
-def _encode_record(pattern_id: int, position: int, run_length: int) -> bytes:
-    return struct.pack(
-        ">HBHB",
-        pattern_id,
-        (position >> 16) & 0xFF,
-        position & 0xFFFF,
-        run_length,
-    )
-
-
-def _decode_record(data: bytes):
-    pattern_id, pos_high, pos_low, run_length = struct.unpack(">HBHB", data)
-    position = (pos_high << 16) | pos_low
-    if run_length == 1:
-        return MatchRecord(pattern_id=pattern_id, position=position)
-    return RangeRecord(
-        pattern_id=pattern_id, start_position=position, count=run_length
-    )
-
-
-def compress_matches(matches) -> list:
-    """Turn ``(pattern id, position)`` pairs into records, folding runs of
-    consecutive positions of the same pattern into range records."""
+    This is where records are made, so this is where their fields are
+    checked: a pattern id or a position the record cannot carry raises
+    ValueError."""
+    if len(matches) == 1:
+        ((pattern_id, position),) = matches
+        if pattern_id >> 16 or position >> 24:
+            raise ValueError(f"match out of range: {(pattern_id, position)}")
+        return [(pattern_id, position, 1)]
     records: list = []
-    ordered = sorted(matches, key=lambda m: (m[0], m[1]))
+    ordered = sorted(matches)
+    count = len(ordered)
     index = 0
-    while index < len(ordered):
+    while index < count:
         pattern_id, position = ordered[index]
         run = 1
         while (
-            index + run < len(ordered)
-            and ordered[index + run][0] == pattern_id
-            and ordered[index + run][1] == position + run
+            index + run < count
             and run < MAX_RUN_LENGTH
+            and ordered[index + run] == (pattern_id, position + run)
         ):
             run += 1
-        if run == 1:
-            records.append(MatchRecord(pattern_id=pattern_id, position=position))
-        else:
-            records.append(
-                RangeRecord(
-                    pattern_id=pattern_id, start_position=position, count=run
-                )
+        if pattern_id >> 16 or position >> 24 or (position + run - 1) >> 24:
+            raise ValueError(
+                f"match out of range: {(pattern_id, position + run - 1)}"
             )
+        records.append((pattern_id, position, run))
         index += run
     return records
 
 
-@dataclass
 class MatchReport:
-    """All match records for one packet, grouped per middlebox."""
+    """All match records for one packet, grouped per middlebox.
 
-    blocks: dict = field(default_factory=dict)  # middlebox id -> [records]
+    In memory a record is the paper's one uniform shape, the tuple
+    ``(pattern id, position, run length)``.  A report built by
+    :meth:`from_matches` holds its records; one read by :meth:`decode` holds
+    the bytes it was read from and where each block lies in them, and
+    expands a block only when it is asked for.
+    """
+
+    __slots__ = ("_blocks", "_data", "_spans")
+
+    def __init__(self, blocks: "dict | None" = None) -> None:
+        self._blocks = {} if blocks is None else blocks
+        # Set by decode() instead of _blocks: the bytes read, and
+        # {middlebox id: (offset, record count)} into them.
+        self._data = self._spans = None
 
     @classmethod
     def from_matches(cls, per_middlebox_matches: dict) -> "MatchReport":
@@ -150,97 +107,138 @@ class MatchReport:
         compressing consecutive runs (empty lists are omitted)."""
         blocks = {}
         for middlebox_id, matches in sorted(per_middlebox_matches.items()):
-            if not matches:
-                continue
-            blocks[middlebox_id] = compress_matches(matches)
-        return cls(blocks=blocks)
+            if matches:
+                blocks[middlebox_id] = compress_matches(matches)
+        return cls(blocks)
+
+    @property
+    def blocks(self) -> dict:
+        """``{middlebox id: [(pattern id, position, run length)]}``."""
+        if self._blocks is None:
+            data = self._data
+            self._blocks = {
+                middlebox_id: [
+                    (pattern_id, word >> 8, word & 0xFF)
+                    for pattern_id, word in _RECORD.iter_unpack(
+                        data[offset : offset + RECORD_LENGTH * count]
+                    )
+                ]
+                for middlebox_id, (offset, count) in self._spans.items()
+            }
+        return self._blocks
+
+    def _record_counts(self) -> list:
+        if self._blocks is None:
+            return [count for _, count in self._spans.values()]
+        return [len(records) for records in self._blocks.values()]
 
     @property
     def is_empty(self) -> bool:
         """True when no middlebox has any match records."""
-        return not self.blocks
+        return not (self._spans if self._blocks is None else self._blocks)
 
     def records_for(self, middlebox_id: int) -> list:
         """The records of one middlebox (a copy)."""
-        return list(self.blocks.get(middlebox_id, []))
+        return list(self.blocks.get(middlebox_id, ()))
 
     def matches_for(self, middlebox_id: int) -> list:
-        """Expand records back to ``(pattern id, position)`` pairs."""
-        pairs = []
-        for record in self.blocks.get(middlebox_id, []):
-            for position in record.positions():
-                pairs.append((record.pattern_id, position))
+        """Expand one middlebox's records back to ``(pattern id, position)``
+        pairs — for a decoded report, straight from its bytes."""
+        pairs: list = []
+        if self._blocks is not None:
+            for pattern_id, position, run in self._blocks.get(middlebox_id, ()):
+                pairs.extend((pattern_id, position + step) for step in range(run))
+            return pairs
+        span = self._spans.get(middlebox_id)
+        if span is not None:
+            offset, count = span
+            for pattern_id, word in _RECORD.iter_unpack(
+                self._data[offset : offset + RECORD_LENGTH * count]
+            ):
+                if word & 0xFF == 1:
+                    pairs.append((pattern_id, word >> 8))
+                else:
+                    pairs.extend(
+                        (pattern_id, (word >> 8) + step)
+                        for step in range(word & 0xFF)
+                    )
         return pairs
 
     def total_records(self) -> int:
         """Number of records across all blocks."""
-        return sum(len(records) for records in self.blocks.values())
+        return sum(self._record_counts())
 
     def size_bytes(self) -> int:
         """Encoded size — the quantity Figure 11 plots."""
-        size = HEADER_LENGTH
-        for records in self.blocks.values():
-            size += BLOCK_HEADER_LENGTH + RECORD_LENGTH * len(records)
-        return size
+        counts = self._record_counts()
+        return (
+            HEADER_LENGTH
+            + BLOCK_HEADER_LENGTH * len(counts)
+            + RECORD_LENGTH * sum(counts)
+        )
 
     # --- wire encoding -----------------------------------------------------
 
     def encode(self) -> bytes:
         """Serialize to the wire format."""
-        pieces = [_HEADER.pack(REPORT_VERSION, 0, len(self.blocks))]
-        for middlebox_id in sorted(self.blocks):
-            records = self.blocks[middlebox_id]
+        blocks = self.blocks
+        pieces = [_HEADER.pack(REPORT_VERSION, 0, len(blocks))]
+        pack = _RECORD.pack
+        for middlebox_id in sorted(blocks):
+            records = blocks[middlebox_id]
             if not 0 <= middlebox_id <= 0xFFFF:
                 raise ValueError(f"middlebox id out of range: {middlebox_id}")
             if len(records) > 0xFFFF:
                 raise ValueError(f"too many records: {len(records)}")
             pieces.append(_BLOCK_HEADER.pack(middlebox_id, len(records)))
-            for record in records:
-                if isinstance(record, MatchRecord):
-                    pieces.append(
-                        _encode_record(record.pattern_id, record.position, 1)
-                    )
-                else:
-                    pieces.append(
-                        _encode_record(
-                            record.pattern_id, record.start_position, record.count
-                        )
-                    )
+            for pattern_id, position, run in records:
+                pieces.append(pack(pattern_id, position << 8 | run))
         return b"".join(pieces)
 
     @classmethod
     def decode(cls, data: bytes) -> "MatchReport":
-        """Parse the wire format; raises ValueError on malformed input."""
-        if len(data) < HEADER_LENGTH:
+        """Parse the wire format; raises ValueError on malformed input.
+
+        The whole framing is checked here — header, version, every block
+        header and record boundary, a zero run length in any block, trailing
+        bytes — so nothing read from the report afterwards can fail; the
+        records themselves stay in *data* until a block is asked for."""
+        size = len(data)
+        if size < HEADER_LENGTH:
             raise ValueError("truncated report header")
         version, _flags, block_count = _HEADER.unpack_from(data, 0)
         if version != REPORT_VERSION:
             raise ValueError(f"unsupported report version: {version}")
         offset = HEADER_LENGTH
-        blocks = {}
+        spans = {}
         for _ in range(block_count):
-            if offset + BLOCK_HEADER_LENGTH > len(data):
+            if offset + BLOCK_HEADER_LENGTH > size:
                 raise ValueError("truncated block header")
-            middlebox_id, record_count = _BLOCK_HEADER.unpack_from(data, offset)
+            middlebox_id, count = _BLOCK_HEADER.unpack_from(data, offset)
             offset += BLOCK_HEADER_LENGTH
-            records = []
-            for _ in range(record_count):
-                if offset + RECORD_LENGTH > len(data):
-                    raise ValueError("truncated record")
-                records.append(_decode_record(data[offset : offset + RECORD_LENGTH]))
-                offset += RECORD_LENGTH
-            blocks[middlebox_id] = records
-        if offset != len(data):
-            raise ValueError(f"{len(data) - offset} trailing bytes in report")
-        return cls(blocks=blocks)
+            end = offset + RECORD_LENGTH * count
+            if end > size:
+                raise ValueError("truncated record")
+            if 0 in data[offset + RECORD_LENGTH - 1 : end : RECORD_LENGTH]:
+                raise ValueError("record with run length 0")
+            spans[middlebox_id] = (offset, count)
+            offset = end
+        if offset != size:
+            raise ValueError(f"{size - offset} trailing bytes in report")
+        report = cls.__new__(cls)
+        report._blocks = None
+        report._data = data
+        report._spans = spans
+        return report
 
     # --- compact (4-byte) ablation encoding ---------------------------------
 
     def encode_compact(self) -> bytes:
         """4-byte single-match records; ranges are expanded.  Used only by
         the encoding ablation benchmark."""
-        pieces = [_HEADER.pack(REPORT_VERSION, 1, len(self.blocks))]
-        for middlebox_id in sorted(self.blocks):
+        blocks = self.blocks
+        pieces = [_HEADER.pack(REPORT_VERSION, 1, len(blocks))]
+        for middlebox_id in sorted(blocks):
             pairs = self.matches_for(middlebox_id)
             pieces.append(_BLOCK_HEADER.pack(middlebox_id, len(pairs)))
             for pattern_id, position in pairs:

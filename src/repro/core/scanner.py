@@ -108,9 +108,8 @@ class VirtualScanner:
                         "with no profile"
                     )
         self.flow_table = FlowTable(initial_state=automaton.root)
-        self._chain_bitmaps: dict = {}
-        self._chain_profiles: dict = {}
-        self._chain_any_stateful: dict = {}
+        # chain id -> (bitmap, profiles, any stateful, limit is fixed, limit)
+        self._chain_plans: dict = {}
         # Telemetry (optional): per-chain (packets, bytes) counter pairs.
         self._registry = None
         self._instance_label = ""
@@ -124,9 +123,19 @@ class VirtualScanner:
         for middlebox_id in middlebox_ids:
             bitmap |= 1 << middlebox_id
         profiles = tuple(self.profiles[m] for m in middlebox_ids)
-        self._chain_bitmaps[chain_id] = bitmap
-        self._chain_profiles[chain_id] = profiles
-        self._chain_any_stateful[chain_id] = any(p.stateful for p in profiles)
+        any_stateful = any(p.stateful for p in profiles)
+        # The scan limit moves with the flow offset only when every profile
+        # is bounded and a stateful one is among them.
+        limit_fixed = not any_stateful or any(
+            p.stopping_condition is None for p in profiles
+        )
+        self._chain_plans[chain_id] = (
+            bitmap,
+            profiles,
+            any_stateful,
+            limit_fixed,
+            self.scan_limit(profiles, 0) if limit_fixed else None,
+        )
         if self._registry is not None:
             self._bind_chain_metrics(chain_id)
 
@@ -161,9 +170,7 @@ class VirtualScanner:
     def remove_chain(self, chain_id: int) -> None:
         """Forget a policy chain (packets for it will raise)."""
         self.chain_map.pop(chain_id, None)
-        self._chain_bitmaps.pop(chain_id, None)
-        self._chain_profiles.pop(chain_id, None)
-        self._chain_any_stateful.pop(chain_id, None)
+        self._chain_plans.pop(chain_id, None)
 
     # --- scanning ------------------------------------------------------------
 
@@ -197,12 +204,14 @@ class VirtualScanner:
             active_ids = self.chain_map[chain_id]
         except KeyError:
             raise KeyError(f"unknown policy chain id: {chain_id}") from None
-        active_profiles = self._chain_profiles[chain_id]
-        active_bitmap = self._chain_bitmaps[chain_id]
-        any_stateful = self._chain_any_stateful[chain_id]
+        active_bitmap, active_profiles, any_stateful, limit_fixed, limit = (
+            self._chain_plans[chain_id]
+        )
+        automaton = self.automaton
+        root = automaton.root
 
         # Restore per-flow state when a stateful middlebox is on the chain.
-        start_state = self.automaton.root
+        start_state = root
         offset = 0
         if any_stateful and flow_key is not None:
             flow_state = self.flow_table.lookup(flow_key)
@@ -210,46 +219,51 @@ class VirtualScanner:
                 start_state = flow_state.state
                 offset = flow_state.offset
 
-        limit = self.scan_limit(active_profiles, offset)
-        scan = self.automaton.scan(
+        if not limit_fixed:
+            limit = self.scan_limit(active_profiles, offset)
+        scan = automaton.scan(
             payload, active_bitmap=active_bitmap, state=start_state, limit=limit
         )
 
-        started_from_root = start_state == self.automaton.root
+        started_from_root = start_state == root
+        matches: dict = {middlebox_id: [] for middlebox_id in active_ids}
         result = ScanResult(
-            matches={middlebox_id: [] for middlebox_id in active_ids},
+            matches=matches,
             bytes_scanned=scan.bytes_scanned,
             flow_offset_before=offset,
             started_from_root=started_from_root,
         )
-        profiles = self.profiles
-        for accept_state, cnt in scan.raw_matches:
-            for (middlebox_id, pattern_id), length in self.automaton.resolve(
-                accept_state, active_bitmap
-            ):
-                profile = profiles[middlebox_id]
-                if profile.stateful:
-                    position = cnt + offset
-                    if (
-                        profile.stopping_condition is not None
-                        and position > profile.stopping_condition
-                    ):
-                        continue
-                else:
-                    # Stateless: discard matches that began in a previous
-                    # packet (the scan only started mid-DFA because some
-                    # *other* middlebox on the chain is stateful).
-                    if not started_from_root and length > cnt:
-                        continue
-                    if (
-                        profile.stopping_condition is not None
-                        and cnt > profile.stopping_condition
-                    ):
-                        continue
-                    position = cnt
-                result.matches[middlebox_id].append((pattern_id, position))
-        for match_list in result.matches.values():
-            match_list.sort(key=_MATCH_ORDER)
+        if scan.raw_matches:
+            profiles = self.profiles
+            resolve = automaton.resolve
+            for accept_state, cnt in scan.raw_matches:
+                for (middlebox_id, pattern_id), length in resolve(
+                    accept_state, active_bitmap
+                ):
+                    profile = profiles[middlebox_id]
+                    if profile.stateful:
+                        position = cnt + offset
+                        if (
+                            profile.stopping_condition is not None
+                            and position > profile.stopping_condition
+                        ):
+                            continue
+                    else:
+                        # Stateless: discard matches that began in a previous
+                        # packet (the scan only started mid-DFA because some
+                        # *other* middlebox on the chain is stateful).
+                        if not started_from_root and length > cnt:
+                            continue
+                        if (
+                            profile.stopping_condition is not None
+                            and cnt > profile.stopping_condition
+                        ):
+                            continue
+                        position = cnt
+                    matches[middlebox_id].append((pattern_id, position))
+            for match_list in matches.values():
+                if len(match_list) > 1:
+                    match_list.sort(key=_MATCH_ORDER)
 
         if any_stateful and flow_key is not None:
             self.flow_table.update(

@@ -76,8 +76,11 @@ class RuleEngine:
 
     def __init__(self, rules: list | None = None) -> None:
         self._rules: dict[int, Rule] = {}
-        # pattern id -> rule ids referencing it (for diagnostics)
+        # pattern id -> rule ids referencing it
         self._by_pattern: dict[int, set] = {}
+        # pattern id -> the one rule naming it, where that rule has no other
+        # condition: a match of such a pattern is a hit of that rule.
+        self._sole_rule: dict[int, int] = {}
         for rule in rules or []:
             self.add_rule(rule)
 
@@ -88,6 +91,7 @@ class RuleEngine:
         self._rules[rule.rule_id] = rule
         for pattern_id in rule.pattern_ids:
             self._by_pattern.setdefault(pattern_id, set()).add(rule.rule_id)
+            self._index_sole_rule(pattern_id)
 
     def remove_rule(self, rule_id: int) -> Rule:
         """Remove a rule by id; raises KeyError if absent."""
@@ -96,7 +100,19 @@ class RuleEngine:
             raise KeyError(f"no rule with id {rule_id}")
         for pattern_id in rule.pattern_ids:
             self._by_pattern[pattern_id].discard(rule_id)
+            self._index_sole_rule(pattern_id)
         return rule
+
+    def _index_sole_rule(self, pattern_id: int) -> None:
+        """Bring ``_sole_rule`` up to date for one pattern whose rule set
+        just changed."""
+        rule_ids = self._by_pattern[pattern_id]
+        if len(rule_ids) == 1:
+            (rule_id,) = rule_ids
+            if len(self._rules[rule_id].pattern_ids) == 1:
+                self._sole_rule[pattern_id] = rule_id
+                return
+        self._sole_rule.pop(pattern_id, None)
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -118,9 +134,28 @@ class RuleEngine:
         Only *candidate* rules — those referencing at least one matched
         pattern — are examined, mirroring how signature engines avoid
         touching their full rule set on every packet.  A matchless packet
-        costs nothing here."""
+        costs nothing here, and a packet whose matched patterns each have
+        one single-condition rule (every ``add_literal_rule`` /
+        ``add_regex_rule`` rule) costs one index read per match."""
         if not matches:
             return []
+        sole_rule = self._sole_rule
+        fired: dict[int, list] = {}
+        for pattern_id, position in matches:
+            rule_id = sole_rule.get(pattern_id)
+            if rule_id is None:
+                break  # a pattern with several rules or conditions
+            fired.setdefault(rule_id, []).append(position)
+        else:
+            # Every match names its one rule, and that rule asks for nothing
+            # else: the matches are the hits.
+            hits = [
+                RuleHit(rule_id, packet_id, tuple(positions))
+                for rule_id, positions in fired.items()
+            ]
+            if len(hits) > 1:
+                hits.sort(key=self._hit_order)
+            return hits
         matched_ids: dict[int, list] = {}
         for pattern_id, position in matches:
             matched_ids.setdefault(pattern_id, []).append(position)
@@ -142,11 +177,11 @@ class RuleEngine:
                     )
                 )
         if len(hits) > 1:
-            rules = self._rules
-            hits.sort(
-                key=lambda hit: (_SEVERITY[rules[hit.rule_id].action], hit.rule_id)
-            )
+            hits.sort(key=self._hit_order)
         return hits
+
+    def _hit_order(self, hit: "RuleHit") -> tuple:
+        return (_SEVERITY[self._rules[hit.rule_id].action], hit.rule_id)
 
     def action_of(self, rule_id: int) -> Action:
         """The action a rule carries."""
@@ -241,15 +276,18 @@ class Middlebox:
 
     def process_matches(self, packet: Packet, matches: list) -> Action:
         """Evaluate rules for one packet given its pattern matches."""
-        self.stats.packets_processed += 1
+        stats = self.stats
+        stats.packets_processed += 1
         hits = self.engine.evaluate(matches, packet_id=packet.packet_id)
-        self.stats.rules_fired += len(hits)
-        verdict = self.engine.verdict(hits)
-        if verdict is Action.DROP:
-            self.stats.packets_dropped += 1
-        elif hits:
-            self.stats.alerts += len(hits)
-            self.alert_log.extend(hits)
+        verdict = Action.FORWARD
+        if hits:
+            stats.rules_fired += len(hits)
+            verdict = self.engine.verdict(hits)
+            if verdict is Action.DROP:
+                stats.packets_dropped += 1
+            else:
+                stats.alerts += len(hits)
+                self.alert_log.extend(hits)
         self.on_rule_hits(packet, hits)
         return verdict
 
@@ -468,26 +506,29 @@ class MiddleboxChainFunction(NetworkFunction):
                 return []
             verdict = self._rescan(packet)
             return [] if verdict is Action.DROP else [packet]
-        if packet.is_result_packet:
-            data = self._pending_data.pop(packet.describes_packet_id, None)
+        described = packet.describes_packet_id
+        if described is not None:  # a result packet
+            data = self._pending_data.pop(described, None)
             if data is None:
                 # Result arrived first: hold it for the data packet.
-                self._pending_reports[packet.describes_packet_id] = packet
-                self._track_buffering()
-                return self._enforce_cap()
+                self._pending_reports[described] = packet
+                return self._after_buffering()
             return self._process_pair(data, packet)
-        if not packet.is_marked_matched:
+        if not packet.ip.ecn:  # not marked: the service found nothing
             verdict = self.middlebox.consume_unmarked(packet)
             return [] if verdict is Action.DROP else [packet]
         report_packet = self._pending_reports.pop(packet.packet_id, None)
         if report_packet is None:
             self._pending_data[packet.packet_id] = packet
-            self._track_buffering()
-            return self._enforce_cap()
+            return self._after_buffering()
         return self._process_pair(packet, report_packet)
 
-    def _enforce_cap(self) -> list[Packet]:
-        """Release/discard the oldest pending entries beyond the cap."""
+    def _after_buffering(self) -> list[Packet]:
+        """Note the buffer's new depth, then release/discard the oldest
+        pending entries beyond the cap."""
+        buffered = len(self._pending_data) + len(self._pending_reports)
+        if buffered > self.max_buffered:
+            self.max_buffered = buffered
         released: list[Packet] = []
         while len(self._pending_data) > self.max_pending:
             oldest_id = next(iter(self._pending_data))
@@ -522,7 +563,3 @@ class MiddleboxChainFunction(NetworkFunction):
             # never arrive.
             return []
         return [data, report_packet]
-
-    def _track_buffering(self) -> None:
-        buffered = len(self._pending_data) + len(self._pending_reports)
-        self.max_buffered = max(self.max_buffered, buffered)

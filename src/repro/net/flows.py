@@ -6,32 +6,54 @@ stateful middleboxes, keyed by the classic 5-tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.net.addresses import IPv4Address
 from repro.net.packet import Packet
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FiveTuple:
-    """The (src ip, dst ip, protocol, src port, dst port) flow key."""
+    """The (src ip, dst ip, protocol, src port, dst port) flow key.
+
+    A packet's key is looked up in the flow table, updated there and counted
+    in the work table — four hashes of two address objects each — so the hash
+    is computed once, when the key is made, and kept in a slot.
+    """
 
     src_ip: IPv4Address
     dst_ip: IPv4Address
     protocol: int
     src_port: int
     dst_port: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "_hash",
+            hash(
+                (self.src_ip, self.dst_ip, self.protocol, self.src_port, self.dst_port)
+            ),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Address hashes are salted per process: a copy made elsewhere must
+        # hash afresh, not carry this process's value.
+        return (
+            FiveTuple,
+            (self.src_ip, self.dst_ip, self.protocol, self.src_port, self.dst_port),
+        )
 
     @classmethod
     def of(cls, packet: Packet) -> "FiveTuple":
         """Extract the 5-tuple of a packet."""
-        return cls(
-            src_ip=packet.ip.src,
-            dst_ip=packet.ip.dst,
-            protocol=packet.ip.protocol,
-            src_port=packet.l4.src_port,
-            dst_port=packet.l4.dst_port,
-        )
+        ip = packet.ip
+        l4 = packet.l4
+        return cls(ip.src, ip.dst, ip.protocol, l4.src_port, l4.dst_port)
 
     def reversed(self) -> "FiveTuple":
         """The key of the opposite direction of the same conversation."""

@@ -22,6 +22,9 @@ class NetworkFunction:
     response (possibly including the input packet itself to forward it on).
     """
 
+    #: The host the function is bound to; None until :meth:`attach`.
+    host: "Host | None" = None
+
     def attach(self, host: "Host") -> None:
         """Called when the function is bound to its host."""
         self.host = host

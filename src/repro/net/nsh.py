@@ -64,13 +64,13 @@ def encode_tag_results(packet: Packet, report: MatchReport) -> int:
     """
     encoded = 0
     for middlebox_id in sorted(report.blocks):
-        for record in report.blocks[middlebox_id]:
+        for pattern_id, _position, _run in report.blocks[middlebox_id]:
             if encoded >= MAX_TAG_RECORDS:
                 return encoded
             label = (
                 _TAG_RESULT_FLAG
                 | ((middlebox_id & 0x7) << 16)
-                | (record.pattern_id & 0xFFFF)
+                | (pattern_id & 0xFFFF)
             )
             packet.push_mpls(MplsLabel(label=label, bottom_of_stack=False))
             encoded += 1
@@ -112,7 +112,10 @@ def build_directed_result_packet(
 def build_result_packet(data_packet: Packet, report: MatchReport) -> Packet:
     """A dedicated result packet (option 3): same headers and tag stack as
     the data packet — so it follows the same policy chain — but its payload
-    is the encoded report and it names the packet it describes."""
+    is the encoded report and it names the packet it describes.
+
+    The result packet never carries the match mark, so one built before the
+    data packet is marked shares that packet's header as it is."""
     result = data_packet.copy()
     result.packet_id = allocate_packet_id()
     result.payload = report.encode()

@@ -15,7 +15,7 @@ paper relies on to scan once and reuse the results.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.net.addresses import IPv4Address, MACAddress
 
@@ -238,11 +238,16 @@ class Packet:
 
     def mark_matched(self) -> None:
         """Set the ECN-based "payload had matches" mark (Section 6.1)."""
-        self.ip = replace(self.ip, ecn=1)
+        self._set_ecn(1)
 
     def clear_match_mark(self) -> None:
         """Clear the ECN-based match mark."""
-        self.ip = replace(self.ip, ecn=0)
+        self._set_ecn(0)
+
+    def _set_ecn(self, ecn: int) -> None:
+        ip = self.ip
+        if ip.ecn != ecn:
+            self.ip = IPv4Header(ip.src, ip.dst, ip.protocol, ip.ttl, ecn, ip.dscp)
 
     @property
     def is_marked_matched(self) -> bool:

@@ -112,6 +112,23 @@ class TestInspection:
         heavy = instance.heavy_flows(top=1)
         assert heavy[0][0] == "big"
 
+    @pytest.mark.parametrize("stateful", [True, False])
+    def test_drop_flow_forgets_the_flow_work(self, stateful):
+        """A stateless chain's flows have work entries and no flow-table
+        entry; dropping every flow seen must leave neither behind."""
+        instance = DPIServiceInstance(make_config(stateful=stateful))
+        flows = [f"f{index}" for index in range(6)]
+        for flow in flows:
+            instance.inspect(b"x" * 200, chain_id=100, flow_key=flow)
+        assert set(instance.telemetry.flow_work) == set(flows)
+        instance.drop_flow("f1")
+        assert "f1" not in [key for key, _ in instance.heavy_flows(top=6)]
+        assert instance.export_flow("f1") is None
+        for flow in flows:
+            instance.drop_flow(flow)  # "f1" again: dropping twice is harmless
+        assert instance.telemetry.flow_work == {}
+        assert len(instance.scanner.flow_table) == 0
+
     def test_reconfigure_rebuilds(self):
         instance = DPIServiceInstance(make_config())
         new_config = InstanceConfig(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.controller import DPIController
-from repro.core.mca2 import StressMonitor
+from repro.core.mca2 import StressEvent, StressMonitor
 from repro.core.messages import AddPatternsMessage, RegisterMiddleboxMessage
 from repro.core.patterns import Pattern
 from repro.net.steering import PolicyChain
@@ -144,6 +144,26 @@ class TestStressMonitor:
         for flow_key in action.migrated_flows:
             assert dedicated.export_flow(flow_key) is not None
         assert dedicated.config.layout == "full"
+
+    def test_consecutive_mitigations_divert_different_flows(self, snort_patterns):
+        """A migrated flow leaves the source's heavy-flow ranking: the next
+        mitigation of the same instance moves the next-heaviest flows, not
+        nothing (it used to be handed the flows it had just given away)."""
+        controller = build_controller(snort_patterns)
+        instance = controller.instances.provision("dpi-1")
+        monitor = StressMonitor(controller, heavy_flows_per_mitigation=3)
+        attack = match_flood_payload(snort_patterns, 1500)
+        for index in range(8):
+            for _ in range(1 + index % 3):
+                instance.inspect(attack, chain_id=CHAIN, flow_key=f"attacker-{index}")
+        event = StressEvent("dpi-1", ns_per_byte=10.0, baseline_ns_per_byte=1.0)
+        first = monitor.mitigate(event)
+        second = monitor.mitigate(event)
+        assert len(first.migrated_flows) == len(second.migrated_flows) == 3
+        assert not set(first.migrated_flows) & set(second.migrated_flows)
+        remaining = {key for key, _ in instance.heavy_flows(top=8)}
+        assert len(remaining) == 2
+        assert not remaining & set(first.migrated_flows + second.migrated_flows)
 
     def test_migration_callback_invoked(self, snort_patterns):
         controller = build_controller(snort_patterns)

@@ -8,64 +8,71 @@ from repro.core.reports import (
     MAX_POSITION,
     MAX_RUN_LENGTH,
     RECORD_LENGTH,
-    MatchRecord,
     MatchReport,
-    RangeRecord,
     compress_matches,
 )
 
 
 class TestRecords:
+    """One record shape: ``(pattern id, position, run length)``."""
+
     def test_single_record_positions(self):
-        record = MatchRecord(pattern_id=5, position=100)
-        assert record.positions() == [100]
+        report = MatchReport({1: [(5, 100, 1)]})
+        assert report.matches_for(1) == [(5, 100)]
 
     def test_range_record_positions(self):
-        record = RangeRecord(pattern_id=5, start_position=100, count=3)
-        assert record.positions() == [100, 101, 102]
+        report = MatchReport({1: [(5, 100, 3)]})
+        assert report.matches_for(1) == [(5, 100), (5, 101), (5, 102)]
 
-    def test_range_requires_count_two(self):
-        with pytest.raises(ValueError):
-            RangeRecord(pattern_id=1, start_position=0, count=1)
+    def test_zero_run_length_rejected_on_decode(self):
+        encoded = bytearray(MatchReport({1: [(5, 100, 1)]}).encode())
+        encoded[-1] = 0
+        with pytest.raises(ValueError, match="run length"):
+            MatchReport.decode(bytes(encoded))
 
     def test_field_limits(self):
         with pytest.raises(ValueError):
-            MatchRecord(pattern_id=0x10000, position=0)
+            compress_matches([(0x10000, 0)])
         with pytest.raises(ValueError):
-            MatchRecord(pattern_id=0, position=MAX_POSITION + 1)
+            compress_matches([(0, MAX_POSITION + 1)])
         with pytest.raises(ValueError):
-            RangeRecord(pattern_id=0, start_position=0, count=MAX_RUN_LENGTH + 1)
+            compress_matches([(0, 5), (0x10000, 0)])
+        with pytest.raises(ValueError):
+            compress_matches([(0, 5), (0, MAX_POSITION + 1)])
+        assert compress_matches([(0xFFFF, MAX_POSITION)]) == [
+            (0xFFFF, MAX_POSITION, 1)
+        ]
+        longest = max(run for _, _, run in compress_matches([(0, p) for p in range(600)]))
+        assert longest == MAX_RUN_LENGTH
 
 
 class TestCompression:
     def test_no_runs(self):
         records = compress_matches([(1, 10), (2, 20)])
-        assert records == [MatchRecord(1, 10), MatchRecord(2, 20)]
+        assert records == [(1, 10, 1), (2, 20, 1)]
 
     def test_consecutive_run_compressed(self):
         # The paper's repeated-character case: same pattern at consecutive
         # positions becomes one range record.
         records = compress_matches([(7, 5), (7, 6), (7, 7)])
-        assert records == [RangeRecord(7, 5, 3)]
+        assert records == [(7, 5, 3)]
 
     def test_gap_breaks_run(self):
         records = compress_matches([(7, 5), (7, 7)])
-        assert records == [MatchRecord(7, 5), MatchRecord(7, 7)]
+        assert records == [(7, 5, 1), (7, 7, 1)]
 
     def test_different_patterns_not_merged(self):
         records = compress_matches([(7, 5), (8, 6)])
-        assert records == [MatchRecord(7, 5), MatchRecord(8, 6)]
+        assert records == [(7, 5, 1), (8, 6, 1)]
 
     def test_long_run_chunked(self):
         matches = [(1, position) for position in range(300)]
         records = compress_matches(matches)
-        assert records[0] == RangeRecord(1, 0, 255)
-        total = sum(len(r.positions()) for r in records)
-        assert total == 300
+        assert records == [(1, 0, 255), (1, 255, 45)]
 
     def test_unsorted_input_handled(self):
         records = compress_matches([(7, 7), (7, 5), (7, 6)])
-        assert records == [RangeRecord(7, 5, 3)]
+        assert records == [(7, 5, 3)]
 
 
 class TestReportRoundTrip:
@@ -123,6 +130,15 @@ class TestReportRoundTrip:
     def test_total_records(self):
         report = MatchReport.from_matches({1: [(0, 1), (0, 2), (0, 3), (5, 9)]})
         assert report.total_records() == 2  # one range + one single
+        assert MatchReport.decode(report.encode()).total_records() == 2
+
+    def test_decoded_blocks_materialise_on_demand(self):
+        matches = {1: [(0, 12)], 3: [(2, 50), (2, 51), (2, 52)]}
+        report = MatchReport.from_matches(matches)
+        decoded = MatchReport.decode(report.encode())
+        assert decoded.blocks == report.blocks == {1: [(0, 12, 1)], 3: [(2, 50, 3)]}
+        assert decoded.records_for(3) == [(2, 50, 3)]
+        assert decoded.records_for(2) == []
 
 
 class TestCompactEncoding:

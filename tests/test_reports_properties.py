@@ -5,11 +5,35 @@ from hypothesis import strategies as st
 
 from repro.core.reports import MatchReport, compress_matches
 
-match_pair = st.tuples(
-    st.integers(min_value=0, max_value=0xFFFF),  # pattern id
-    st.integers(min_value=0, max_value=0xFFFFFF),  # position
+POSITIONS = st.one_of(
+    st.integers(min_value=0, max_value=0xFFFFFF),
+    st.sampled_from([0, 1, 0xFFFF, 0x10000, 0xFFFFFF]),
 )
-match_list = st.lists(match_pair, max_size=40)
+match_pair = st.tuples(st.integers(min_value=0, max_value=0xFFFF), POSITIONS)
+
+
+@st.composite
+def runs(draw):
+    """One pattern at consecutive positions: 2, 255, 256 or a few hundred."""
+    pattern_id = draw(st.integers(min_value=0, max_value=0xFFFF))
+    length = draw(st.one_of(st.sampled_from([2, 255, 256]), st.integers(2, 600)))
+    start = draw(st.integers(min_value=0, max_value=0xFFFFFF - length + 1))
+    return [(pattern_id, start + step) for step in range(length)]
+
+
+def _shuffled(pairs: list, extra: list, rng) -> list:
+    whole = pairs + [pair for run in extra for pair in run]
+    rng.shuffle(whole)
+    return whole
+
+
+# Singles (with repeats), with up to two runs mixed in, in any order.
+match_list = st.builds(
+    _shuffled,
+    st.lists(match_pair, max_size=40),
+    st.lists(runs(), max_size=2),
+    st.randoms(use_true_random=False),
+)
 per_middlebox = st.dictionaries(
     st.integers(min_value=0, max_value=50), match_list, max_size=5
 )
@@ -19,9 +43,17 @@ per_middlebox = st.dictionaries(
 @settings(max_examples=200, deadline=None)
 def test_report_round_trip(matches):
     report = MatchReport.from_matches(matches)
-    decoded = MatchReport.decode(report.encode())
+    encoded = report.encode()
+    decoded = MatchReport.decode(encoded)
     for middlebox_id, pairs in matches.items():
-        assert sorted(decoded.matches_for(middlebox_id)) == sorted(pairs)
+        # Duplicates and all: what comes back is the input in record order.
+        assert decoded.matches_for(middlebox_id) == sorted(pairs)
+        assert report.matches_for(middlebox_id) == sorted(pairs)
+    assert decoded.blocks == report.blocks
+    assert decoded.total_records() == report.total_records()
+    assert decoded.size_bytes() == report.size_bytes() == len(encoded)
+    assert decoded.is_empty == report.is_empty
+    assert decoded.encode() == encoded
 
 
 @given(matches=match_list)
@@ -31,9 +63,9 @@ def test_compression_preserves_matches(matches):
     unique = sorted(set(matches))
     records = compress_matches(unique)
     expanded = sorted(
-        (record.pattern_id, position)
-        for record in records
-        for position in record.positions()
+        (pattern_id, position + step)
+        for pattern_id, position, run in records
+        for step in range(run)
     )
     assert expanded == unique
 
