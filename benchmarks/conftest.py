@@ -59,24 +59,44 @@ def campus_trace(snort_corpus):
 def interleaved_throughput(automata, payloads, rounds=4, repeat=2, warmup=20):
     """Raw scan throughput (Mbps) per named automaton, measured round-robin.
 
-    Interleaving the configurations makes CPU-frequency drift and cache
-    pollution hit all of them equally; the per-config best round filters
-    transient dips.  Returns ``{name: mbps}``.
+    Each value of *automata* is an automaton (its ``scan`` is timed) or a
+    bare ``scan(payload)`` callable.  Interleaving the configurations makes
+    CPU-frequency drift and cache pollution hit all of them equally; the
+    per-config best round filters transient dips.  Returns ``{name: mbps}``.
     """
     from repro.bench.throughput import measure_scan_throughput
 
-    samples = {name: [] for name in automata}
-    for automaton in automata.values():
+    scans = {
+        name: getattr(automaton, "scan", automaton)
+        for name, automaton in automata.items()
+    }
+    samples = {name: [] for name in scans}
+    for scan in scans.values():
         for payload in payloads[:warmup]:
-            automaton.scan(payload)
+            scan(payload)
     for _ in range(rounds):
-        for name, automaton in automata.items():
-            scan = automaton.scan
+        for name, scan in scans.items():
             result = measure_scan_throughput(
                 lambda p, scan=scan: scan(p), payloads, repeat=repeat
             )
             samples[name].append(result.mbps)
     return {name: max(values) for name, values in samples.items()}
+
+
+#: The smallest speed ratio a millisecond-scale :func:`interleaved_throughput`
+#: run resolves on a shared box whose CPU flips between two speeds ~1.27x
+#: apart; a closer ordering is reported, not asserted.
+RESOLVABLE_RATIO = 1.15
+
+
+def assert_ordering(label, ratio):
+    """Assert ``ratio > 1`` — the paper's ordering — unless the measurement
+    cannot resolve it (``ratio`` within :data:`RESOLVABLE_RATIO` of 1), in
+    which case the ordering is printed as unresolved."""
+    if 1 / RESOLVABLE_RATIO < ratio < RESOLVABLE_RATIO:
+        print(f"unresolved (< {RESOLVABLE_RATIO}x): {label} = {ratio:.2f}x")
+        return
+    assert ratio > 1, f"{label} = {ratio:.2f}x"
 
 
 def run_once(benchmark, experiment):

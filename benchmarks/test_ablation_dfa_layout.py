@@ -9,25 +9,26 @@ quantifies the trade on the Snort-scale corpus.
 from __future__ import annotations
 
 from repro.bench.harness import Table
-from repro.bench.throughput import measure_scan_throughput
 from repro.core.aho_corasick import AhoCorasick
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_ordering, interleaved_throughput, run_once
 
 
 def test_ablation_dfa_layout(benchmark, snort_corpus, http_trace):
     def experiment():
         patterns = snort_corpus[:2000]
-        results = {}
-        for layout in ("sparse", "full"):
-            automaton = AhoCorasick(patterns, layout=layout)
-            measured = measure_scan_throughput(
-                automaton.count_matches,
-                http_trace.payloads,
-                repeat=2,
-                warmup_packets=10,
-            )
-            results[layout] = (measured.mbps, automaton.stats.memory_bytes)
+        automata = {
+            layout: AhoCorasick(patterns, layout=layout)
+            for layout in ("sparse", "full")
+        }
+        mbps = interleaved_throughput(
+            {name: a.count_matches for name, a in automata.items()},
+            http_trace.payloads,
+        )
+        results = {
+            layout: (mbps[layout], automaton.stats.memory_bytes)
+            for layout, automaton in automata.items()
+        }
         table = Table(
             "Ablation: DFA layout (2000 Snort-like patterns)",
             ["layout", "throughput [Mbps]", "memory [MB]"],
@@ -42,5 +43,5 @@ def test_ablation_dfa_layout(benchmark, snort_corpus, http_trace):
     full_mbps, full_memory = results["full"]
     # The trade: the full table is faster per byte but pays for it in
     # memory by an order of magnitude.
-    assert full_mbps > sparse_mbps
+    assert_ordering("full / sparse throughput", full_mbps / sparse_mbps)
     assert full_memory > sparse_memory * 5

@@ -9,14 +9,12 @@ match density.
 
 from __future__ import annotations
 
-import time
-
 from repro.bench.harness import Table
 from repro.core.aho_corasick import AhoCorasick
 from repro.core.wu_manber import WuManber
 from repro.workloads.attacks import match_flood_payload
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_ordering, interleaved_throughput, run_once
 
 
 def test_ablation_engine_choice(benchmark, snort_corpus, http_trace):
@@ -30,28 +28,21 @@ def test_ablation_engine_choice(benchmark, snort_corpus, http_trace):
         flood = [match_flood_payload(patterns, 1400, seed=s) for s in range(20)]
         workloads = {"benign trace": http_trace.payloads, "match flood": flood}
 
-        timings = {}
-        for workload_name, payloads in workloads.items():
-            for engine_name, engine in engines.items():
-                for payload in payloads[:5]:
-                    engine.count_matches(payload)
-                started = time.perf_counter()
-                for _ in range(2):
-                    for payload in payloads:
-                        engine.count_matches(payload)
-                timings[(engine_name, workload_name)] = (
-                    time.perf_counter() - started
-                )
+        counters = {name: e.count_matches for name, e in engines.items()}
+        mbps = {
+            workload_name: interleaved_throughput(counters, payloads)
+            for workload_name, payloads in workloads.items()
+        }
 
         table = Table(
             "Ablation: string-matching engine (2000 Snort-like patterns)",
-            ["engine", "benign trace [s]", "match flood [s]"],
+            ["engine", "benign trace [Mbps]", "match flood [Mbps]"],
         )
         for engine_name in engines:
             table.add_row(
                 engine_name,
-                timings[(engine_name, "benign trace")],
-                timings[(engine_name, "match flood")],
+                mbps["benign trace"][engine_name],
+                mbps["match flood"][engine_name],
             )
         table.print()
 
@@ -60,23 +51,21 @@ def test_ablation_engine_choice(benchmark, snort_corpus, http_trace):
         ac_matches = sorted(engines["aho-corasick (full)"].scan(sample)[0])
         wm_matches = engines["wu-manber"].scan(sample)
         assert ac_matches == wm_matches
-        return timings
+        return mbps
 
-    timings = run_once(benchmark, experiment)
+    mbps = run_once(benchmark, experiment)
+    benign, flood = mbps["benign trace"], mbps["match flood"]
     # Wu-Manber's skip loop wins on benign traffic (long min pattern, few
     # matches)...
-    assert (
-        timings[("wu-manber", "benign trace")]
-        < timings[("aho-corasick (sparse)", "benign trace")]
+    assert_ordering(
+        "wu-manber / aho-corasick (sparse) on the benign trace",
+        benign["wu-manber"] / benign["aho-corasick (sparse)"],
     )
     # ... but loses its advantage on match-dense traffic, where windows
     # shift by one and verification dominates.
-    benign_ratio = (
-        timings[("aho-corasick (full)", "benign trace")]
-        / timings[("wu-manber", "benign trace")]
+    benign_ratio = benign["wu-manber"] / benign["aho-corasick (full)"]
+    flood_ratio = flood["wu-manber"] / flood["aho-corasick (full)"]
+    assert_ordering(
+        "wu-manber's edge over aho-corasick (full), benign / flood",
+        benign_ratio / flood_ratio,
     )
-    flood_ratio = (
-        timings[("aho-corasick (full)", "match flood")]
-        / timings[("wu-manber", "match flood")]
-    )
-    assert flood_ratio < benign_ratio

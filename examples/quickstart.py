@@ -83,4 +83,4 @@ for index, payload in enumerate(packets):
             print(f"  {name}: pattern {pattern_id} ended at offset {position}")
     print(f"  match report: {output.report.size_bytes()} bytes on the wire")
 
-print(f"\ntelemetry: {instance.telemetry.snapshot()}")
+print(f"\ntelemetry: {instance.telemetry_snapshot()}")

@@ -17,7 +17,7 @@ DET002    iteration over unordered sets on simulation paths
 DET003    sim-scoped call transitively reaching wall clock / global RNG
 TEL001    unbounded metric label cardinality
 API001    mutable default argument
-API002    in-repo call to a deprecated DPIController lifecycle shim
+API002    positional chain_id/flow arguments to ``.inspect()``
 KER001    scan-kernel public method outside the kernel contract surface
 RES001    resource acquisition with an exit path that skips release
 RES002    resource escapes to an attribute with no owning teardown

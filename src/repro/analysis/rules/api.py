@@ -1,4 +1,4 @@
-"""API hygiene rules: mutable defaults, deprecated lifecycle shims."""
+"""API hygiene rules: mutable defaults, the keyword-only ``inspect``."""
 
 from __future__ import annotations
 
@@ -67,38 +67,17 @@ class MutableDefaultRule(Rule):
                 )
 
 
-#: Deprecated DPIController lifecycle/telemetry shims -> their replacement.
-_DEPRECATED_SHIMS = {
-    "build_instance_config": "instances.build_config(...)",
-    "create_instance": "instances.provision(name, ...)",
-    "remove_instance": "instances.decommission(name)",
-    "refresh_instances": "instances.refresh()",
-    "deploy_grouped": "instances.plan_groups(...)",
-    "collect_telemetry": "telemetry_snapshot().instances",
-}
-
-
-#: DPIServiceInstance methods whose non-payload parameters are keyword-only
-#: (a positional call raises TypeError at run time).
-_KEYWORD_ONLY_INSPECTION = frozenset({"inspect", "inspect_batch"})
-
-
 @register_rule
-class DeprecatedLifecycleShimRule(Rule):
-    """API002: in-repo code must not call the deprecated lifecycle shims.
+class PositionalInspectRule(Rule):
+    """API002: ``inspect`` takes everything but the payload by keyword.
 
-    ``DPIController.create_instance`` and friends survive only as
-    :class:`DeprecationWarning` shims for downstream callers; everything in
-    this repository goes through the ``controller.instances`` facade
-    (:class:`~repro.core.lifecycle.InstanceManager`) or
-    ``controller.telemetry_snapshot()``.  Likewise the inspection surface:
-    ``inspect``/``inspect_batch`` take ``chain_id``/``flow_key``/``now``/
-    ``trace_parent`` as keywords only; a positional shape is a TypeError
-    at run time, caught here before it runs.
+    ``DPIServiceInstance.inspect`` accepts ``chain_id``/``flow_key``/
+    ``now``/``trace_parent`` as keywords only; a positional shape is a
+    TypeError at run time, caught here before it runs.
     """
 
     code = "API002"
-    summary = "no in-repo calls to deprecated DPIController lifecycle shims"
+    summary = "no positional chain_id/flow arguments to .inspect()"
     node_types = (ast.Call,)
 
     def visit(self, node: ast.AST, context: "LintContext") -> Iterator[Finding]:
@@ -106,22 +85,13 @@ class DeprecatedLifecycleShimRule(Rule):
         func = node.func
         if not isinstance(func, ast.Attribute):
             return
-        replacement = _DEPRECATED_SHIMS.get(func.attr)
-        if replacement is not None:
-            yield context.finding(
-                node,
-                self.code,
-                f".{func.attr}() is a deprecation shim; use "
-                f"controller.{replacement}",
-            )
-            return
-        if func.attr in _KEYWORD_ONLY_INSPECTION and len(node.args) >= 2:
+        if func.attr == "inspect" and len(node.args) >= 2:
             # First positional is the payload; DPIServiceInstance accepts
             # nothing else positionally.
             yield context.finding(
                 node,
                 self.code,
-                f".{func.attr}() with positional chain_id/flow arguments "
+                ".inspect() with positional chain_id/flow arguments "
                 "raises TypeError; pass chain_id=/flow_key=/now=/"
                 "trace_parent= as keywords",
             )

@@ -1,42 +1,30 @@
-"""Detection-quality + overhead benchmark for the anomaly layer.
+"""Detection-quality benchmark for the anomaly layer.
 
-Three questions, one ``BENCH_anomaly.json`` payload:
+Two questions, one ``BENCH_anomaly.json`` payload:
 
 * **Detection quality** — calibrate the classifier on a seeded
   benign-only run, then classify a seeded benign-http/mirai-burst mix;
   the generator's flow→profile labels are ground truth, so precision and
   recall are exact, regression-gated numbers (the floor is ≥0.9 on both).
-* **Overhead** — the feature extractor rides the inspect hot path, so its
-  cost is measured chunk-interleaved: the same packet stream runs in
-  100-packet chunks, each chunk timed back-to-back with and without the
-  observer (order alternating per chunk and per round), and the headline
-  is the median of per-round ratios; the acceptance bar is <5%.
 * **Reproducibility** — the detection phase runs twice; verdict digests
   must match bit-for-bit (cross-kernel/backend invariance is covered by
   the differential harness's feature digest, not here).
 
-Wall-clock timing appears *only* in the overhead section — detection and
-reproducibility run on the simulator clock like every other load run.
+Both run on the simulator clock like every other load run, so the payload
+is a pure function of its ``config``; what the extractor costs on the
+inspect path is a timing claim and belongs to ``perf/run.py``.
 """
 
 from __future__ import annotations
 
-import gc
-import time
 from typing import Any
 
-from repro.anomaly import (
-    AnomalyClassifier,
-    FeatureExtractor,
-    features_digest,
-    verdict_digest,
-)
-from repro.bench.kernels import write_results
+from repro.anomaly import AnomalyClassifier, features_digest, verdict_digest
+from repro.bench.harness import write_results
 from repro.load.driver import LoadDriver
-from repro.load.generator import LoadGenerator
 from repro.load.profiles import LoadSpec
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: The profile whose flows count as true anomalies in the labeled mix.
 ATTACK_PROFILE = "mirai-burst"
@@ -127,128 +115,6 @@ def detection_quality(
     }
 
 
-def measure_overhead(
-    *,
-    packets: int = 600,
-    rounds: int = 15,
-    seed: int = 7,
-    mix: str = "web-flood",
-    flows: int = 200,
-) -> dict[str, Any]:
-    """Inspect-only vs inspect+observe over identical packets.
-
-    One shared instance scans both loops so kernel caches and flow-table
-    state cannot favor either side, and the delta charged to the anomaly
-    layer is exactly what the driver's epoch loop pays: payload sizes are
-    precomputed (the queueing model needs them regardless) and both sides
-    sum per-packet matches (the epoch report needs that regardless), so
-    the only difference is the ``observe()`` call itself.  The deferred
-    accumulator fold runs off the hot path (at the epoch boundary in the
-    driver); it is timed separately and reported as ``fold_seconds``.
-
-    The statistic is the **median of per-round obs/base ratios**, where
-    each round interleaves the two sides at *chunk* granularity: every
-    ~100-packet chunk is timed base-then-obs (order alternating per chunk
-    and per round), so the paired measurements sit within a couple of
-    milliseconds of each other and CPU-steal epochs, frequency drift and
-    cache effects cancel instead of skewing one side.  The median then
-    shrugs off any round that was preempted outright, and GC is frozen
-    around the timed region so collection pauses cannot land
-    asymmetrically.
-    """
-    from repro.load.driver import build_load_controller
-
-    spec = LoadSpec(profile_mix=mix, flows=flows, epochs=4, seed=seed)
-    batch_items: list[tuple[int, int, bytes, int]] = []
-    for batch in LoadGenerator(spec).batches():
-        batch_items.extend(
-            (flow_id, chain_id, payload, len(payload))
-            for flow_id, chain_id, payload, _ in batch.items
-        )
-        if len(batch_items) >= packets:
-            break
-    batch_items = batch_items[:packets]
-
-    controller = build_load_controller()
-    controller.instances.provision("bench-anomaly", kernel="flat")
-    instance = controller.instances["bench-anomaly"]
-
-    def run_chunk(observe, lo: int, hi: int) -> int:
-        matches = 0
-        for index in range(lo, hi):
-            flow_id, chain_id, payload, size = batch_items[index]
-            output = instance.inspect(
-                payload, chain_id=chain_id, flow_key=flow_id, now=float(index)
-            )
-            packet_matches = sum(
-                len(hits) for hits in output.matches.values()
-            )
-            matches += packet_matches
-            if observe is not None:
-                observe(
-                    flow_id,
-                    chain_id=chain_id,
-                    size=size,
-                    matches=packet_matches,
-                    now=float(index),
-                )
-        return matches
-
-    chunk = 100
-    run_chunk(None, 0, len(batch_items))  # warm caches and flow state
-    ratios: list[float] = []
-    base_best = obs_best = float("inf")
-    fold_best = float("inf")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for round_index in range(rounds):
-            observer = FeatureExtractor()
-            base_seconds = obs_seconds = 0.0
-            gc.collect()
-            for lo in range(0, len(batch_items), chunk):
-                hi = min(lo + chunk, len(batch_items))
-                # Alternate which side scans the chunk first: the second
-                # scan of the same packets sees warmer caches, and the
-                # alternation spreads that advantage evenly.
-                obs_first = (lo // chunk + round_index) % 2 == 0
-                for is_obs in ((True, False) if obs_first else (False, True)):
-                    observe = observer.observe if is_obs else None
-                    start = time.perf_counter()
-                    run_chunk(observe, lo, hi)
-                    elapsed = time.perf_counter() - start
-                    if is_obs:
-                        obs_seconds += elapsed
-                    else:
-                        base_seconds += elapsed
-            ratios.append(obs_seconds / base_seconds)
-            base_best = min(base_best, base_seconds)
-            obs_best = min(obs_best, obs_seconds)
-            # The epoch-boundary work: fold the recorded metadata.
-            start = time.perf_counter()
-            tracked = len(observer)
-            fold_best = min(fold_best, time.perf_counter() - start)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    ratios.sort()
-    middle = len(ratios) // 2
-    if len(ratios) % 2:
-        median_ratio = ratios[middle]
-    else:
-        median_ratio = (ratios[middle - 1] + ratios[middle]) / 2.0
-    overhead_pct = (median_ratio - 1.0) * 100.0
-    return {
-        "packets": len(batch_items),
-        "rounds": rounds,
-        "tracked_flows": tracked,
-        "inspect_seconds": round(base_best, 6),
-        "inspect_with_anomaly_seconds": round(obs_best, 6),
-        "fold_seconds": round(fold_best, 6),
-        "overhead_pct": round(overhead_pct, 3),
-    }
-
-
 def run_anomaly_benchmark(
     *,
     flows: int = 400,
@@ -258,8 +124,6 @@ def run_anomaly_benchmark(
     min_packets: int = 2,
     mix: str = "web-flood",
     calibration_profile: str = "benign-http",
-    overhead_packets: int = 600,
-    rounds: int = 15,
 ) -> dict[str, Any]:
     """The full benchmark; returns the BENCH_anomaly.json payload."""
     quality = detection_quality(
@@ -271,14 +135,10 @@ def run_anomaly_benchmark(
         mix=mix,
         calibration_profile=calibration_profile,
     )
-    overhead = measure_overhead(
-        packets=overhead_packets, rounds=rounds, seed=seed, mix=mix
-    )
     detection = quality["detection"]
     meets_floor = (
         detection["precision"] >= 0.9
         and detection["recall"] >= 0.9
-        and overhead["overhead_pct"] < 5.0
         and quality["reproducibility"]["digests_match"]
     )
     return {
@@ -293,16 +153,12 @@ def run_anomaly_benchmark(
             "mix": mix,
             "calibration_profile": calibration_profile,
             "attack_profile": ATTACK_PROFILE,
-            "overhead_packets": overhead_packets,
-            "rounds": rounds,
         },
         "detection": detection,
-        "overhead": overhead,
         "reproducibility": quality["reproducibility"],
         "headline": {
             "precision": detection["precision"],
             "recall": detection["recall"],
-            "overhead_pct": overhead["overhead_pct"],
             "digests_match": quality["reproducibility"]["digests_match"],
             "meets_floor": meets_floor,
         },
@@ -326,9 +182,6 @@ def validate_anomaly_schema(results: dict[str, Any]) -> list[str]:
         for key in ("precision", "recall", "tp", "fp", "fn", "scored_flows"):
             if key not in detection:
                 problems.append(f"detection.{key} missing")
-    overhead = results.get("overhead")
-    if not isinstance(overhead, dict) or "overhead_pct" not in overhead:
-        problems.append("overhead.overhead_pct missing")
     reproducibility = results.get("reproducibility")
     if not isinstance(reproducibility, dict) or (
         "verdict_digest" not in reproducibility
@@ -344,7 +197,6 @@ def format_anomaly_results(results: dict[str, Any]) -> str:
     """Aligned text rendering of one :func:`run_anomaly_benchmark` output."""
     config = results["config"]
     detection = results["detection"]
-    overhead = results["overhead"]
     reproducibility = results["reproducibility"]
     headline = results["headline"]
     lines = [
@@ -358,16 +210,11 @@ def format_anomaly_results(results: dict[str, Any]) -> str:
         f"(tp {detection['tp']}, fp {detection['fp']}, fn {detection['fn']})",
         f"  precision {detection['precision']:.3f}  "
         f"recall {detection['recall']:.3f}  f1 {detection['f1']:.3f}",
-        f"  overhead: {overhead['inspect_seconds'] * 1e3:.2f} ms inspect-only "
-        f"vs {overhead['inspect_with_anomaly_seconds'] * 1e3:.2f} ms with "
-        f"anomaly over {overhead['packets']} packets "
-        f"-> {overhead['overhead_pct']:+.2f}%",
         f"  reproducibility: digests match: "
         f"{reproducibility['digests_match']} "
         f"(verdicts {reproducibility['verdict_digest'][:16]}...)",
         f"  headline: precision {headline['precision']:.3f}, "
         f"recall {headline['recall']:.3f}, "
-        f"overhead {headline['overhead_pct']:+.2f}%, "
         f"meets floor: {headline['meets_floor']}",
     ]
     return "\n".join(lines)
@@ -377,7 +224,6 @@ __all__ = [
     "ATTACK_PROFILE",
     "detection_quality",
     "format_anomaly_results",
-    "measure_overhead",
     "run_anomaly_benchmark",
     "validate_anomaly_schema",
     "write_results",

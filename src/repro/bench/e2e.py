@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.bench.kernels import write_results
+from repro.bench.harness import write_results
 from repro.load.driver import LoadRunResult, run_load_scenario
 from repro.load.profiles import LoadSpec
 

@@ -7,6 +7,7 @@ ratio arithmetic the paper's headline claims use ("at least 86 % faster").
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 
@@ -124,3 +125,10 @@ class Table:
         """Print with a leading blank line."""
         print()
         print(self.format())
+
+
+def write_results(results: dict, path) -> None:
+    """Write a benchmark result dict as pretty-printed JSON."""
+    with open(path, "w") as handle:
+        json.dump(results, handle, indent=2, sort_keys=True)
+        handle.write("\n")

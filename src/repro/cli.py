@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.core.aho_corasick import AhoCorasick
 from repro.core.instance import INSTANCE_KERNEL_NAMES
-from repro.core.kernels import KERNEL_NAMES
+from repro.core.kernels import KERNEL_NAMES, EngineConfigError
 from repro.core.patterns import Pattern, PatternKind
 from repro.core.workers import BACKEND_NAMES
 from repro.core.wu_manber import WuManber
@@ -183,60 +183,13 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_bench_kernels(args) -> int:
-    if args.sharding:
-        from repro.bench.sharding import (
-            format_sharding_results,
-            run_sharding_benchmark,
-            write_results,
-        )
-
-        results = run_sharding_benchmark(
-            pattern_count=args.pattern_count,
-            packets=args.packets,
-            rounds=args.rounds,
-            shards=args.shards or 4,
-        )
-        print(format_sharding_results(results))
-        if args.out:
-            write_results(results, args.out)
-            print(f"wrote {args.out}")
-        return 0
-
-    from repro.bench.kernels import (
-        format_results,
-        run_kernel_benchmark,
-        write_results,
-    )
-
-    results = run_kernel_benchmark(
-        pattern_count=args.pattern_count,
-        packets=args.packets,
-        rounds=args.rounds,
-        cache_size=args.cache_size,
-    )
-    print(format_results(results))
-    if args.out:
-        write_results(results, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_report(args) -> int:
     from repro.telemetry.export import export_jsonl, prometheus_text
     from repro.telemetry.report import render_report
     from repro.telemetry.scenario import run_figure5_scenario
 
     result = run_figure5_scenario(
-        packets=args.packets,
-        seed=args.seed,
-        kernel=args.kernel,
-        scan_cache_size=args.cache_size,
-        shards=args.shards,
-        shard_backend=args.shard_backend,
-        shard_kernel=args.shard_kernel,
-        shard_workers=args.shard_workers,
-        shard_pipelined=args.pipelined,
+        packets=args.packets, seed=args.seed, **_engine_options(args)
     )
     # Export before printing: a closed stdout pipe (`report | head`) must
     # not cost the caller their --jsonl / --prom files.
@@ -649,8 +602,6 @@ def _cmd_bench_anomaly(args) -> int:
         min_packets=args.min_packets,
         mix=args.profile,
         calibration_profile=args.calibration_profile,
-        overhead_packets=args.packets,
-        rounds=args.rounds,
     )
     problems = validate_anomaly_schema(results)
     if problems:
@@ -677,14 +628,9 @@ def _cmd_chaos(args) -> int:
         plan,
         scenario=args.scenario,
         packets=args.packets,
-        kernel=args.kernel,
-        shards=args.shards,
-        shard_backend=args.shard_backend,
-        shard_kernel=args.shard_kernel,
-        shard_workers=args.shard_workers,
-        shard_pipelined=args.pipelined,
         heartbeat=heartbeat,
         allow_spare=not args.no_spare,
+        **_engine_options(args),
     )
     summary = result.summary()
     if args.format == "json":
@@ -807,7 +753,7 @@ def _cmd_demo(args) -> int:
             for pattern_id, position in matches:
                 name = {1: "ids", 2: "av"}[middlebox_id]
                 print(f"         -> {name}: pattern {pattern_id} ends at {position}")
-    print(f"telemetry: {instance.telemetry.snapshot()}")
+    print(f"telemetry: {instance.telemetry_snapshot()}")
     return 0
 
 
@@ -844,6 +790,23 @@ def _add_sharding_flags(command: argparse.ArgumentParser) -> None:
         help="double-buffer batched sharded scans through two arena "
         "regions (zerocopy backend)",
     )
+
+
+def _engine_options(args) -> dict:
+    """The parsed ``--kernel`` / ``--cache-size`` / ``--shards...`` flags as
+    the ``**engine`` mapping :class:`~repro.core.instance.InstanceConfig`
+    validates (``chaos`` has no ``--cache-size``)."""
+    options = {
+        "kernel": args.kernel,
+        "shards": args.shards,
+        "shard_backend": args.shard_backend,
+        "shard_kernel": args.shard_kernel,
+        "shard_workers": args.shard_workers,
+        "shard_pipelined": args.pipelined,
+    }
+    if hasattr(args, "cache_size"):
+        options["scan_cache_size"] = args.cache_size
+    return options
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -892,27 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sharding_flags(scan)
     scan.set_defaults(func=_cmd_scan)
-
-    bench = commands.add_parser(
-        "bench-kernels", help="run the scan-kernel ablation benchmark"
-    )
-    bench.add_argument("--pattern-count", type=int, default=2000)
-    bench.add_argument("--packets", type=int, default=60)
-    bench.add_argument("--rounds", type=int, default=5)
-    bench.add_argument("--cache-size", type=int, default=256)
-    bench.add_argument(
-        "--sharding",
-        action="store_true",
-        help="run the sharding ablation instead (BENCH_sharding.json)",
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="shard count for --sharding (default 4)",
-    )
-    bench.add_argument("--out", help="write BENCH_kernels.json here")
-    bench.set_defaults(func=_cmd_bench_kernels)
 
     report = commands.add_parser(
         "report",
@@ -1095,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_anomaly = commands.add_parser(
         "bench-anomaly",
-        help="anomaly detection quality + hot-path overhead report",
+        help="anomaly detection quality + verdict reproducibility report",
     )
     bench_anomaly.add_argument("--flows", type=int, default=400)
     bench_anomaly.add_argument("--epochs", type=int, default=8)
@@ -1105,12 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_anomaly.add_argument("--profile", default="web-flood")
     bench_anomaly.add_argument(
         "--calibration-profile", default="benign-http"
-    )
-    bench_anomaly.add_argument(
-        "--packets", type=int, default=600, help="overhead-loop packet count"
-    )
-    bench_anomaly.add_argument(
-        "--rounds", type=int, default=15, help="overhead timing rounds"
     )
     bench_anomaly.add_argument("--out", help="write BENCH_anomaly.json here")
     bench_anomaly.set_defaults(func=_cmd_bench_anomaly)
@@ -1185,6 +1121,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except EngineConfigError as error:
+        # A flag combination no scan engine can be built with.
+        print(f"repro-dpi: error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pipe (e.g. `| head`) closed early; not our error.
         import os

@@ -80,9 +80,7 @@ class CombinedAutomaton:
         #: Bitmap with every registered middlebox's bit set (precomputed).
         self.all_middleboxes_bitmap = bitmap
 
-        if scan_cache_size < 0:
-            raise ValueError(f"negative scan cache size: {scan_cache_size}")
-        self.scan_cache = ScanCache(scan_cache_size) if scan_cache_size else None
+        self.scan_cache = ScanCache.of_size(scan_cache_size)
         self.select_kernel(kernel)
 
     # --- construction -------------------------------------------------------

@@ -20,10 +20,8 @@ Responsibilities implemented here:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from repro.core.instance import DPIServiceInstance, InstanceConfig
 from repro.core.lifecycle import InstanceManager
 from repro.core.messages import (
     AckMessage,
@@ -297,85 +295,6 @@ class DPIController:
             for chain_id in selected
         }
 
-    # --- instance lifecycle (deprecated shims) -----------------------------
-    #
-    # The lifecycle API lives on the ``instances`` facade
-    # (:class:`~repro.core.lifecycle.InstanceManager`).  The methods below
-    # are deprecation shims only; in-repo callers are flagged by lint rule
-    # API002.
-
-    @staticmethod
-    def _deprecated(old: str, new: str) -> None:
-        warnings.warn(
-            f"DPIController.{old} is deprecated; use controller.{new}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def build_instance_config(
-        self,
-        chain_ids=None,
-        layout: str = "sparse",
-        kernel: str = "flat",
-        scan_cache_size: int = 0,
-    ) -> InstanceConfig:
-        """Deprecated: use ``controller.instances.build_config(...)``."""
-        self._deprecated("build_instance_config", "instances.build_config")
-        return self.instances.build_config(
-            chain_ids=chain_ids,
-            layout=layout,
-            kernel=kernel,
-            scan_cache_size=scan_cache_size,
-        )
-
-    def create_instance(
-        self,
-        name: str,
-        chain_ids=None,
-        layout: str = "sparse",
-        kernel: str = "flat",
-        scan_cache_size: int = 0,
-        validate: bool = True,
-    ) -> DPIServiceInstance:
-        """Deprecated: use ``controller.instances.provision(name, ...)``."""
-        self._deprecated("create_instance", "instances.provision")
-        return self.instances.provision(
-            name,
-            chain_ids=chain_ids,
-            layout=layout,
-            kernel=kernel,
-            scan_cache_size=scan_cache_size,
-            validate=validate,
-        )
-
-    def remove_instance(self, name: str) -> DPIServiceInstance:
-        """Deprecated: use ``controller.instances.decommission(name)``."""
-        self._deprecated("remove_instance", "instances.decommission")
-        instance = self.instances.decommission(name)
-        assert instance is not None  # missing_ok defaults to False
-        return instance
-
-    def refresh_instances(self) -> None:
-        """Deprecated: use ``controller.instances.refresh()``."""
-        self._deprecated("refresh_instances", "instances.refresh")
-        self.instances.refresh()
-
-    def deploy_grouped(
-        self,
-        max_groups: int,
-        layout: str = "sparse",
-        kernel: str = "flat",
-        name_prefix: str = "dpi-group",
-    ) -> dict:
-        """Deprecated: use ``controller.instances.plan_groups(...)``."""
-        self._deprecated("deploy_grouped", "instances.plan_groups")
-        return self.instances.plan_groups(
-            max_groups=max_groups,
-            layout=layout,
-            kernel=kernel,
-            name_prefix=name_prefix,
-        )
-
     def load_samples(self, window_seconds: float) -> list:
         """Per-instance :class:`~repro.core.deployment.LoadSample` objects
         for the registry counters accumulated since the previous call."""
@@ -408,11 +327,6 @@ class DPIController:
         from repro.telemetry.snapshot import build_snapshot
 
         return build_snapshot(self)
-
-    def collect_telemetry(self) -> dict:
-        """Deprecated: use ``controller.telemetry_snapshot().instances``."""
-        self._deprecated("collect_telemetry", "telemetry_snapshot().instances")
-        return dict(self.telemetry_snapshot().instances)
 
     def migrate_flow(self, flow_key, source_name: str, target_name: str) -> bool:
         """Move one flow's scan state between instances (Section 4.3).

@@ -21,7 +21,7 @@ from typing import Hashable, TypedDict
 
 from repro.core.combined import CombinedAutomaton
 from repro.core.flow_table import ExportedFlow
-from repro.core.kernels import KERNEL_NAMES
+from repro.core.kernels import KERNEL_NAMES, EngineConfigError
 from repro.core.patterns import Pattern, PatternKind
 from repro.core.regex import RegexPreFilter, split_matches
 from repro.core.reports import MatchReport
@@ -89,51 +89,53 @@ class InstanceConfig:
             if middlebox_id not in self.profiles:
                 raise KeyError(f"pattern set without profile: {middlebox_id}")
         if self.kernel not in INSTANCE_KERNEL_NAMES:
-            raise ValueError(
+            raise EngineConfigError(
                 f"unknown kernel {self.kernel!r}; "
                 f"expected one of {INSTANCE_KERNEL_NAMES}"
             )
         if self.kernel == SHARDED_KERNEL_NAME:
             if self.shards < 1:
-                raise ValueError(
+                raise EngineConfigError(
                     f"kernel 'sharded' needs shards >= 1, got {self.shards}"
                 )
         elif self.shards:
-            raise ValueError(
+            raise EngineConfigError(
                 f"shards={self.shards} requires kernel='sharded', "
                 f"not {self.kernel!r}"
             )
         if self.shard_backend not in BACKEND_NAMES:
-            raise ValueError(
+            raise EngineConfigError(
                 f"unknown shard backend {self.shard_backend!r}; "
                 f"expected one of {BACKEND_NAMES}"
             )
         if self.shard_kernel not in KERNEL_NAMES:
-            raise ValueError(
+            raise EngineConfigError(
                 f"unknown shard kernel {self.shard_kernel!r}; "
                 f"expected one of {KERNEL_NAMES}"
             )
         if self.shard_workers < 0:
-            raise ValueError(
+            raise EngineConfigError(
                 f"negative shard worker count: {self.shard_workers}"
             )
         if self.kernel != SHARDED_KERNEL_NAME:
             if self.shard_workers:
-                raise ValueError(
+                raise EngineConfigError(
                     f"shard_workers={self.shard_workers} requires "
                     f"kernel='sharded', not {self.kernel!r}"
                 )
             if self.shard_pipelined:
-                raise ValueError(
+                raise EngineConfigError(
                     f"shard_pipelined requires kernel='sharded', "
                     f"not {self.kernel!r}"
                 )
         if self.scan_cache_size < 0:
-            raise ValueError(f"negative scan cache size: {self.scan_cache_size}")
+            raise EngineConfigError(
+                f"negative scan cache size: {self.scan_cache_size}"
+            )
 
 
 class InstanceTelemetrySnapshot(TypedDict):
-    """The shape of :meth:`InstanceTelemetry.snapshot`."""
+    """The shape of :meth:`DPIServiceInstance.telemetry_snapshot`."""
 
     packets_scanned: int
     bytes_scanned: int
@@ -154,21 +156,8 @@ class InstanceTelemetry:
     total_matches: int = 0
     scan_seconds: float = 0.0
     regex_confirmations: int = 0
-    active_flows: int = 0
     # Heaviest flows by per-byte work, for the stress monitor.
     flow_work: dict[Hashable, float] = field(default_factory=dict)
-
-    def snapshot(self) -> InstanceTelemetrySnapshot:
-        """A plain-dict copy of the counters."""
-        return {
-            "packets_scanned": self.packets_scanned,
-            "bytes_scanned": self.bytes_scanned,
-            "packets_with_matches": self.packets_with_matches,
-            "total_matches": self.total_matches,
-            "scan_seconds": self.scan_seconds,
-            "regex_confirmations": self.regex_confirmations,
-            "active_flows": self.active_flows,
-        }
 
 
 @dataclass
@@ -409,7 +398,6 @@ class DPIServiceInstance:
         telemetry.packets_scanned += 1
         telemetry.bytes_scanned += scan.bytes_scanned
         telemetry.scan_seconds += elapsed
-        telemetry.active_flows = len(self.scanner.flow_table)
         telemetry.total_matches += total
         if total:
             telemetry.packets_with_matches += 1
@@ -443,45 +431,6 @@ class DPIServiceInstance:
             matches=final_matches, report=report, bytes_scanned=scan.bytes_scanned
         )
 
-    def inspect_batch(
-        self,
-        payloads,
-        *,
-        chain_id: int,
-        flow_keys=None,
-        now: float = 0.0,
-        trace_parent=None,
-    ) -> list[InspectionOutput]:
-        """Inspect a batch of payloads for one policy chain, in order.
-
-        ``flow_keys`` is an optional parallel sequence (one key per
-        payload; ``None`` entries mean flowless).  ``trace_parent`` applies
-        to every scan in the batch — one ``inspect`` span per payload under
-        the same parent.  Batching amortizes the per-call service overhead
-        and keeps repeated payloads hot in the scan cache; results come
-        back in submission order.  Keyword-only like :meth:`inspect`.
-        """
-        payloads = list(payloads)
-        if flow_keys is None:
-            flow_keys = [None] * len(payloads)
-        else:
-            flow_keys = list(flow_keys)
-            if len(flow_keys) != len(payloads):
-                raise ValueError(
-                    f"flow_keys length {len(flow_keys)} != payloads "
-                    f"length {len(payloads)}"
-                )
-        return [
-            self.inspect(
-                payload,
-                chain_id=chain_id,
-                flow_key=flow_key,
-                now=now,
-                trace_parent=trace_parent,
-            )
-            for payload, flow_key in zip(payloads, flow_keys)
-        ]
-
     def scan_cache_stats(self) -> "dict[str, int] | None":
         """The automaton's scan-cache counters, or None when disabled."""
         cache = self.automaton.scan_cache
@@ -511,6 +460,21 @@ class DPIServiceInstance:
             self.telemetry.flow_work.items(), key=lambda kv: kv[1], reverse=True
         )
         return ranked[:top]
+
+    def telemetry_snapshot(self) -> InstanceTelemetrySnapshot:
+        """A plain-dict copy of the counters.  ``active_flows`` is the flow
+        table's size *now* (what the ``dpi_active_flows`` gauge reads), so
+        drops, evictions, migrations and restarts all show."""
+        telemetry = self.telemetry
+        return {
+            "packets_scanned": telemetry.packets_scanned,
+            "bytes_scanned": telemetry.bytes_scanned,
+            "packets_with_matches": telemetry.packets_with_matches,
+            "total_matches": telemetry.total_matches,
+            "scan_seconds": telemetry.scan_seconds,
+            "regex_confirmations": telemetry.regex_confirmations,
+            "active_flows": len(self.scanner.flow_table),
+        }
 
     def reset_telemetry(self) -> None:
         """Zero every counter (start a fresh observation window)."""

@@ -476,6 +476,12 @@ def make_kernel(automaton, name: str) -> ScanKernel:
     return kernel_class(automaton)
 
 
+class EngineConfigError(ValueError):
+    """An engine option (kernel, layout, scan cache, ``shard_*``) holds a
+    value no scan engine can be built with.  Raised before anything is
+    built, so a caller — the CLI exits 2 on it — can report the message."""
+
+
 class ScanCache:
     """A small LRU cache of scan results.
 
@@ -495,6 +501,14 @@ class ScanCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+
+    @classmethod
+    def of_size(cls, size: int) -> "ScanCache | None":
+        """What an automaton built with ``scan_cache_size=size`` carries:
+        no cache for 0, an :class:`EngineConfigError` for a negative size."""
+        if size < 0:
+            raise EngineConfigError(f"negative scan cache size: {size}")
+        return cls(size) if size else None
 
     def __len__(self) -> int:
         return len(self._entries)

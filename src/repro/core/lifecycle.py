@@ -1,11 +1,8 @@
-"""The unified instance-lifecycle API (the controller's ``instances`` facade).
+"""The instance-lifecycle API (the controller's ``instances`` facade).
 
-Historically the controller grew five separate lifecycle entry points
-(``build_instance_config``, ``create_instance``, ``deploy_grouped``,
-``remove_instance``, ``refresh_instances``).  They are now consolidated
-behind one object: ``controller.instances`` is an :class:`InstanceManager`
-— a read-only mapping of ``name -> DPIServiceInstance`` that also owns
-every lifecycle verb:
+``controller.instances`` is an :class:`InstanceManager` — a read-only
+mapping of ``name -> DPIServiceInstance`` that also owns every lifecycle
+verb:
 
 * :meth:`InstanceManager.provision` — build a validated configuration and
   spawn an instance (optionally specialized to a chain group or flagged as
@@ -20,15 +17,18 @@ every lifecycle verb:
   spawning anything.
 
 All verbs are keyword-only past the instance name, so call sites read as
-declarations.  The old controller methods survive as thin shims that emit
-:class:`DeprecationWarning`; in-repo use of the shims is flagged by lint
-rule API002.
+declarations.  Engine options (``kernel``, ``layout``, ``scan_cache_size``,
+``shards`` and the ``shard_*`` family) are never named here: every verb
+forwards ``**engine`` to :class:`~repro.core.instance.InstanceConfig`, which
+alone declares, defaults and validates them — a misspelt option is its
+``TypeError``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Iterator, Mapping
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.analysis.validators import raise_on_errors, validate_instance_config
 from repro.core.instance import DPIServiceInstance, InstanceConfig
@@ -85,22 +85,10 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
 
     # --- configuration ----------------------------------------------------
 
-    def build_config(
-        self,
-        *,
-        chain_ids: "Sequence[int] | None" = None,
-        layout: str = "sparse",
-        kernel: str = "flat",
-        scan_cache_size: int = 0,
-        shards: int = 0,
-        shard_backend: str = "serial",
-        shard_kernel: str = "flat",
-        shard_workers: int = 0,
-        shard_pipelined: bool = False,
-    ) -> InstanceConfig:
-        """The configuration for an instance serving *chain_ids* (None =
-        every chain).  Only middleboxes on the selected chains are included
-        (Section 4.3: instances specialized per chain group)."""
+    def _served(self, chain_ids: "Sequence[int] | None") -> dict[str, Any]:
+        """The ``pattern_sets`` / ``profiles`` / ``chain_map`` fields of a
+        configuration serving *chain_ids*, from the controller's current
+        registrations."""
         controller = self._controller
         chain_map = controller.chain_map(chain_ids)
         needed: set[int] = set()
@@ -110,27 +98,26 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
             # No chains known yet: serve every registered middlebox through
             # an implicit chain per middlebox (useful for direct API use).
             needed = set(controller.middlebox_ids)
-        pattern_sets = {
-            middlebox_id: list(controller.pattern_set_of(middlebox_id))
-            for middlebox_id in sorted(needed)
+        return {
+            "pattern_sets": {
+                middlebox_id: list(controller.pattern_set_of(middlebox_id))
+                for middlebox_id in sorted(needed)
+            },
+            "profiles": {
+                middlebox_id: controller.profile_of(middlebox_id)
+                for middlebox_id in sorted(needed)
+            },
+            "chain_map": chain_map,
         }
-        profiles = {
-            middlebox_id: controller.profile_of(middlebox_id)
-            for middlebox_id in sorted(needed)
-        }
-        return InstanceConfig(
-            pattern_sets=pattern_sets,
-            profiles=profiles,
-            chain_map=chain_map,
-            layout=layout,
-            kernel=kernel,
-            scan_cache_size=scan_cache_size,
-            shards=shards,
-            shard_backend=shard_backend,
-            shard_kernel=shard_kernel,
-            shard_workers=shard_workers,
-            shard_pipelined=shard_pipelined,
-        )
+
+    def build_config(
+        self, *, chain_ids: "Sequence[int] | None" = None, **engine: Any
+    ) -> InstanceConfig:
+        """The configuration for an instance serving *chain_ids* (None =
+        every chain).  Only middleboxes on the selected chains are included
+        (Section 4.3: instances specialized per chain group); ``**engine``
+        are :class:`InstanceConfig`'s engine options."""
+        return InstanceConfig(**self._served(chain_ids), **engine)
 
     # --- lifecycle verbs ----------------------------------------------------
 
@@ -139,16 +126,9 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
         name: str,
         *,
         chain_ids: "Sequence[int] | None" = None,
-        layout: str = "sparse",
-        kernel: str = "flat",
-        scan_cache_size: int = 0,
-        shards: int = 0,
-        shard_backend: str = "serial",
-        shard_kernel: str = "flat",
-        shard_workers: int = 0,
-        shard_pipelined: bool = False,
         validate: bool = True,
         dedicated: bool = False,
+        **engine: Any,
     ) -> DPIServiceInstance:
         """Spawn a DPI service instance from the current configuration.
 
@@ -159,21 +139,12 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
         :class:`~repro.analysis.validators.ValidationError` before the
         instance exists.  ``dedicated=True`` marks the instance as an MCA²
         dedicated engine: the stress monitor skips it during observation
-        and failover never selects it for decommissioning.
+        and failover never selects it for decommissioning.  ``**engine``
+        goes to :meth:`build_config`.
         """
         if name in self._by_name:
             raise ValueError(f"duplicate instance name: {name}")
-        config = self.build_config(
-            chain_ids=chain_ids,
-            layout=layout,
-            kernel=kernel,
-            scan_cache_size=scan_cache_size,
-            shards=shards,
-            shard_backend=shard_backend,
-            shard_kernel=shard_kernel,
-            shard_workers=shard_workers,
-            shard_pipelined=shard_pipelined,
-        )
+        config = self.build_config(chain_ids=chain_ids, **engine)
         if validate:
             raise_on_errors(validate_instance_config(config))
         instance = DPIServiceInstance(
@@ -221,9 +192,8 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
         self,
         *,
         max_groups: int,
-        layout: str = "sparse",
-        kernel: str = "flat",
         name_prefix: str = "dpi-group",
+        **engine: Any,
     ) -> dict[str, list[int]]:
         """Provision one instance per group of similar policy chains.
 
@@ -246,26 +216,17 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
         deployed = {}
         for index, chain_ids in enumerate(groups, start=1):
             name = f"{name_prefix}-{index}"
-            self.provision(
-                name, chain_ids=chain_ids, layout=layout, kernel=kernel
-            )
+            self.provision(name, chain_ids=chain_ids, **engine)
             deployed[name] = list(chain_ids)
         return deployed
 
     def refresh(self) -> None:
-        """Push updated configurations after pattern or chain changes."""
+        """Push updated configurations after pattern or chain changes;
+        every engine option of each instance carries over unchanged."""
         for name, instance in self._by_name.items():
             instance.reconfigure(
-                self.build_config(
-                    chain_ids=self._chain_filter.get(name),
-                    layout=instance.config.layout,
-                    kernel=instance.config.kernel,
-                    scan_cache_size=instance.config.scan_cache_size,
-                    shards=instance.config.shards,
-                    shard_backend=instance.config.shard_backend,
-                    shard_kernel=instance.config.shard_kernel,
-                    shard_workers=instance.config.shard_workers,
-                    shard_pipelined=instance.config.shard_pipelined,
+                dataclasses.replace(
+                    instance.config, **self._served(self._chain_filter.get(name))
                 )
             )
 

@@ -564,9 +564,7 @@ class ShardedAutomaton:
             self.num_states *= automaton.num_states
         self.root = self._kernel._root_state()
 
-        if scan_cache_size < 0:
-            raise ValueError(f"negative scan cache size: {scan_cache_size}")
-        self.scan_cache = ScanCache(scan_cache_size) if scan_cache_size else None
+        self.scan_cache = ScanCache.of_size(scan_cache_size)
 
     # --- accept-state bookkeeping -----------------------------------------
 

@@ -2,9 +2,9 @@
 
 The ``process`` backend (:mod:`repro.core.workers`) pays one pickle of the
 *entire payload batch per shard task*: a K-shard batch crosses the pool
-boundary K times, and BENCH_sharding.json records the honest loss — at one
-CPU the pool scans at roughly half the serial fan-out's throughput because
-IPC serialization eats the shard win.  High-rate packet engines never copy
+boundary K times, and IPC serialization eats the shard win (on one CPU
+the pool ran at roughly half the serial fan-out's throughput when it was
+last measured; ROADMAP item 2c).  High-rate packet engines never copy
 per packet: they pre-allocate buffers and pass descriptors.  This module is
 that idiom in Python:
 

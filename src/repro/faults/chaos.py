@@ -139,16 +139,11 @@ def run_chaos_scenario(
     *,
     packets: int = 60,
     packet_interval: float = 0.01,
-    kernel: str = "flat",
-    shards: int = 0,
-    shard_backend: str = "serial",
-    shard_kernel: str = "flat",
-    shard_workers: int = 0,
-    shard_pipelined: bool = False,
     heartbeat: HeartbeatConfig | None = None,
     control_latency: float = 0.002,
     control_timeout: float = 0.02,
     allow_spare: bool = True,
+    **engine,
 ) -> ChaosResult:
     """Run *plan* against the Figure 5 system under a packet workload.
 
@@ -157,20 +152,14 @@ def run_chaos_scenario(
     simulator clock, interleaving with the plan's faults.  The run drains
     completely: first to the workload/fault horizon, then — heartbeats
     stopped — until every in-flight packet and control timer has settled.
+    ``**engine`` are the :class:`~repro.core.instance.InstanceConfig` engine
+    options of the DPI instance and of any failover replacement.
     """
     if scenario != "figure5":
         raise ValueError(f"unknown chaos scenario: {scenario!r}")
     heartbeat = heartbeat or HeartbeatConfig()
 
-    system = build_figure5_system(
-        kernel=kernel,
-        extra_hosts={STANDBY_HOST: "s3"},
-        shards=shards,
-        shard_backend=shard_backend,
-        shard_kernel=shard_kernel,
-        shard_workers=shard_workers,
-        shard_pipelined=shard_pipelined,
-    )
+    system = build_figure5_system(extra_hosts={STANDBY_HOST: "s3"}, **engine)
     topo = system.topology
     hub = system.hub
     controller = system.dpi_controller
@@ -190,12 +179,7 @@ def run_chaos_scenario(
         dpi_functions={"dpi3": system.dpi_function},
         middlebox_functions=system.middlebox_functions,
         spare_hosts=[STANDBY_HOST] if allow_spare else [],
-        kernel=kernel,
-        shards=shards,
-        shard_backend=shard_backend,
-        shard_kernel=shard_kernel,
-        shard_workers=shard_workers,
-        shard_pipelined=shard_pipelined,
+        provision_kwargs=engine,
         telemetry=hub,
     )
     monitor = HeartbeatMonitor(

@@ -212,12 +212,7 @@ class FailoverCoordinator:
         dpi_functions: "dict[str, DPIServiceFunction] | None" = None,
         middlebox_functions: "dict[str, object] | None" = None,
         spare_hosts: "list[str] | None" = None,
-        kernel: str = "flat",
-        shards: int = 0,
-        shard_backend: str = "serial",
-        shard_kernel: str = "flat",
-        shard_workers: int = 0,
-        shard_pipelined: bool = False,
+        provision_kwargs: "dict[str, object] | None" = None,
         telemetry=None,
     ) -> None:
         self.controller = controller
@@ -231,12 +226,9 @@ class FailoverCoordinator:
         self.middlebox_functions = dict(middlebox_functions or {})
         #: Hosts failover may provision fresh instances onto, in order.
         self.spare_hosts = list(spare_hosts or [])
-        self.kernel = kernel
-        self.shards = shards
-        self.shard_backend = shard_backend
-        self.shard_kernel = shard_kernel
-        self.shard_workers = shard_workers
-        self.shard_pipelined = shard_pipelined
+        #: Keyword arguments every replacement is provisioned with: the
+        #: engine options of the instances it stands in for.
+        self.provision_kwargs = dict(provision_kwargs or {})
         self.telemetry = telemetry
         self.records: dict[str, FailoverRecord] = {}
 
@@ -328,13 +320,7 @@ class FailoverCoordinator:
                 suffix += 1
                 new_name = f"{failed}-failover{suffix}"
             instance = self.controller.instances.provision(
-                new_name,
-                kernel=self.kernel,
-                shards=self.shards,
-                shard_backend=self.shard_backend,
-                shard_kernel=self.shard_kernel,
-                shard_workers=self.shard_workers,
-                shard_pipelined=self.shard_pipelined,
+                new_name, **self.provision_kwargs
             )
             function = DPIServiceFunction(instance)
             self.topology.hosts[spare].set_function(function)

@@ -87,22 +87,17 @@ def _build_payload(rng: random.Random, chain: str) -> bytes:
 
 
 def build_figure5_system(
-    kernel: str = "flat",
-    scan_cache_size: int = 0,
     telemetry: bool = True,
     tracing: bool = True,
     extra_hosts: "dict[str, str] | None" = None,
-    shards: int = 0,
-    shard_backend: str = "serial",
-    shard_kernel: str = "flat",
-    shard_workers: int = 0,
-    shard_pipelined: bool = False,
+    **engine,
 ) -> Figure5System:
     """Wire up the Figure 5 system without sending any traffic.
 
     ``extra_hosts`` maps additional host names to the switch they hang off
     — the chaos harness uses this for standby DPI hosts that failover can
-    later provision onto.
+    later provision onto.  ``**engine`` are the DPI instance's
+    :class:`~repro.core.instance.InstanceConfig` engine options.
     """
     topo = Topology()
     hub = None
@@ -155,16 +150,7 @@ def build_figure5_system(
     tsa.assign_traffic(TrafficAssignment("src2", "dst2", "chain2"))
     tsa.realize()
 
-    instance = dpi_controller.instances.provision(
-        "dpi3",
-        kernel=kernel,
-        scan_cache_size=scan_cache_size,
-        shards=shards,
-        shard_backend=shard_backend,
-        shard_kernel=shard_kernel,
-        shard_workers=shard_workers,
-        shard_pipelined=shard_pipelined,
-    )
+    instance = dpi_controller.instances.provision("dpi3", **engine)
     dpi_function = DPIServiceFunction(instance)
     topo.hosts["dpi3"].set_function(dpi_function)
     topo.hosts["l2l4_fw"].set_function(L2L4FirewallFunction(firewall))
@@ -193,32 +179,19 @@ def build_figure5_system(
 def run_figure5_scenario(
     packets: int = 40,
     seed: int = 7,
-    kernel: str = "flat",
-    scan_cache_size: int = 0,
     telemetry: bool = True,
     tracing: bool = True,
-    shards: int = 0,
-    shard_backend: str = "serial",
-    shard_kernel: str = "flat",
-    shard_workers: int = 0,
-    shard_pipelined: bool = False,
+    **engine,
 ) -> ScenarioResult:
     """Build the Figure 5 system, run *packets* packets, return the result.
 
     With ``telemetry=False`` no hub is attached to the simulator and the
     DPI controller keeps its default (wall-clocked, trace-free) hub — the
-    data-plane behaviour must be identical either way.
+    data-plane behaviour must be identical either way.  ``**engine`` goes
+    to :func:`build_figure5_system`.
     """
     system = build_figure5_system(
-        kernel=kernel,
-        scan_cache_size=scan_cache_size,
-        telemetry=telemetry,
-        tracing=tracing,
-        shards=shards,
-        shard_backend=shard_backend,
-        shard_kernel=shard_kernel,
-        shard_workers=shard_workers,
-        shard_pipelined=shard_pipelined,
+        telemetry=telemetry, tracing=tracing, **engine
     )
     topo = system.topology
     hub = system.hub

@@ -1,13 +1,9 @@
 """The one typed telemetry accessor: :class:`TelemetrySnapshot`.
 
-Historically three ad-hoc dict surfaces grew side by side —
-``DPIController.collect_telemetry()`` (per-instance scan counters),
-``StressMonitor.baselines`` (calibrated ns/byte), and
-``MetricsRegistry.snapshot()`` (every counter/gauge/histogram).  Fault
-events (PR 4) would have been a fourth.  ``build_snapshot(controller)``
-folds all of them into one frozen :class:`TelemetrySnapshot`, reachable as
-``controller.telemetry_snapshot()``; the legacy accessors survive as
-deprecation shims over it.
+``build_snapshot(controller)`` folds the per-instance scan counters, the
+stress monitor's calibrated ns/byte baselines, the whole
+``MetricsRegistry.snapshot()`` and the fault-event history into one frozen
+:class:`TelemetrySnapshot`, reachable as ``controller.telemetry_snapshot()``.
 
 :class:`FaultEvent` also lives here: it is the record type
 :meth:`~repro.telemetry.TelemetryHub.record_fault` appends for every
@@ -64,7 +60,7 @@ class TelemetrySnapshot:
 
     #: hub-clock timestamp the snapshot was taken at
     ts: float
-    #: per-instance scan counters (``collect_telemetry``'s old payload)
+    #: per-instance scan counters (``DPIServiceInstance.telemetry_snapshot``)
     instances: Mapping[str, "InstanceTelemetrySnapshot"]
     #: per-instance liveness (False while crashed)
     alive: Mapping[str, bool]
@@ -84,7 +80,7 @@ def build_snapshot(controller: "DPIController") -> TelemetrySnapshot:
     return TelemetrySnapshot(
         ts=hub.now(),
         instances={
-            name: instance.telemetry.snapshot()
+            name: instance.telemetry_snapshot()
             for name, instance in controller.instances.items()
         },
         alive={

@@ -569,8 +569,6 @@ class TestAnomalyCli:
                 "bench-anomaly",
                 "--flows", "120",
                 "--epochs", "5",
-                "--packets", "200",
-                "--rounds", "3",
                 "--out", str(out),
             ]
         )
@@ -580,3 +578,21 @@ class TestAnomalyCli:
         assert validate_anomaly_schema(results) == []
         assert results["detection"]["precision"] >= 0.9
         assert results["detection"]["recall"] >= 0.9
+
+    def test_committed_report_is_what_the_benchmark_produces(self):
+        """BENCH_anomaly.json holds no timing: a fresh run at the file's
+        own ``config`` reproduces it exactly."""
+        import json
+        from pathlib import Path
+
+        from repro.bench.anomaly import (
+            run_anomaly_benchmark,
+            validate_anomaly_schema,
+        )
+
+        path = Path(__file__).resolve().parent.parent / "BENCH_anomaly.json"
+        committed = json.loads(path.read_text())
+        assert validate_anomaly_schema(committed) == []
+        config = dict(committed["config"])
+        config.pop("attack_profile")  # the module's constant, not an input
+        assert run_anomaly_benchmark(**config) == committed

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main, read_pattern_file, write_pattern_file
@@ -173,26 +175,39 @@ class TestKernelCommands:
         assert code == 0
         assert "matched packets:" in capsys.readouterr().out
 
-    def test_bench_kernels_writes_json(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "BENCH_kernels.json"
-        code = main(
-            [
-                "bench-kernels", "--pattern-count", "40", "--packets", "6",
-                "--rounds", "1", "--out", str(out_path),
-            ]
-        )
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "scan kernels" in stdout
-        results = json.loads(out_path.read_text())
-        assert results["benchmark"] == "scan-kernels"
-        for corpus in ("snort-like", "clamav-like"):
-            kernels = results["corpora"][corpus]["kernels"]
-            assert set(kernels) == {"reference", "flat", "regex"}
-            for numbers in kernels.values():
-                assert numbers["mbps"] > 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--packets", "5", "--cache-size", "-1"],
+            ["report", "--packets", "5", "--kernel", "flat", "--shards", "2"],
+            ["chaos", "figure5", "--plan", "PLAN", "--kernel", "flat",
+             "--shards", "2"],
+            ["chaos", "figure5", "--plan", "PLAN", "--kernel", "sharded",
+             "--shards", "2", "--shard-workers", "-1"],
+            ["scan", "--patterns", "PATS", "--trace", "TRACE",
+             "--engine", "combined", "--cache-size", "-1"],
+        ],
+        ids=[
+            "report-negative-cache", "report-shards-without-sharded",
+            "chaos-shards-without-sharded", "chaos-negative-workers",
+            "scan-negative-cache",
+        ],
+    )
+    def test_engine_config_errors_exit_2_with_one_line(
+        self, tmp_path, capsys, argv
+    ):
+        """Regression: these ended in ValueError tracebacks."""
+        pats, trace_path = self._corpus(tmp_path)
+        capsys.readouterr()
+        plan = Path(__file__).resolve().parent.parent / "examples/plan_basic.json"
+        names = {"PLAN": str(plan), "PATS": str(pats), "TRACE": str(trace_path)}
+        code = main([names.get(word, word) for word in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-dpi: error: ")
+        assert captured.out == ""
 
 
 class TestLoadCommand:

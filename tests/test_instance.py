@@ -259,8 +259,6 @@ class TestInspectionAPISurface:
         instance = DPIServiceInstance(make_config())
         with pytest.raises(TypeError, match="chain_id"):
             instance.inspect(b"x")
-        with pytest.raises(TypeError, match="chain_id"):
-            instance.inspect_batch([b"x"])
 
     def test_too_many_positionals_raises(self):
         # Only the payload is positional; there is no legacy shim.
@@ -269,30 +267,3 @@ class TestInspectionAPISurface:
             instance.inspect(b"x", 100)
         with pytest.raises(TypeError, match="positional"):
             instance.inspect(b"x", 100, chain_id=100)
-        with pytest.raises(TypeError, match="positional"):
-            instance.inspect_batch([b"x"], 100)
-
-    def test_batch_trace_parent_records_spans(self):
-        # Regression: inspect_batch used to silently drop tracing.
-        from repro.telemetry import TelemetryHub
-
-        hub = TelemetryHub(clock=lambda: 0.0)
-        instance = DPIServiceInstance(make_config(), telemetry=hub)
-        root = hub.tracer.start_span("batch")
-        instance.inspect_batch(
-            [b"attack", b"virus123"],
-            chain_id=100,
-            trace_parent=root.context,
-        )
-        root.finish(hub.tracer.now())
-        spans = hub.tracer.spans_named("inspect")
-        assert len(spans) == 2
-        assert {s.parent_id for s in spans} == {root.context[1]}
-
-    def test_batch_matches_looped_inspect(self):
-        batch = DPIServiceInstance(make_config())
-        loop = DPIServiceInstance(make_config())
-        payloads = [b"an attack", b"virus123 here", b"clean"]
-        batched = batch.inspect_batch(payloads, chain_id=100)
-        looped = [loop.inspect(p, chain_id=100) for p in payloads]
-        assert [o.matches for o in batched] == [o.matches for o in looped]

@@ -21,6 +21,7 @@ from repro.workloads.patterns import (
     generate_snort_like,
     random_split,
 )
+from repro.workloads.traffic import TrafficGenerator
 from tests.conftest import spy_on_fallback
 
 LAYOUTS = ("sparse", "full")
@@ -140,6 +141,21 @@ class TestKernelEquivalence:
             b"\x00ab\x00cd\x00",
         ):
             assert_identical(automaton, payload)
+
+    def test_kernels_agree_on_a_2000_pattern_corpus(self):
+        # The one check the deleted kernel ablation had that was not a
+        # timing: at Snort-like scale, on a seeded HTTP trace with injected
+        # matches, every kernel returns the same matches and end states.
+        patterns = generate_snort_like(count=2000, seed=1)
+        trace = TrafficGenerator(seed=7, style="http").trace(
+            20, patterns=patterns, match_rate=0.08
+        )
+        automaton = build({0: patterns})
+        matched = 0
+        for payload in trace.payloads:
+            raw, _, _ = assert_identical(automaton, payload)
+            matched += bool(raw)
+        assert matched
 
 
 class TestByteClassMap:
@@ -636,25 +652,6 @@ class TestInstanceKernels:
         instance = DPIServiceInstance(make_instance_config("regex"))
         assert instance.automaton.kernel_name == "regex"
         assert instance.config.kernel == "regex"
-
-    def test_inspect_batch_matches_sequential_inspect(self):
-        batch_instance = DPIServiceInstance(make_instance_config("flat"))
-        loop_instance = DPIServiceInstance(make_instance_config("flat"))
-        batched = batch_instance.inspect_batch(self.PAYLOADS, chain_id=100)
-        looped = [loop_instance.inspect(p, chain_id=100) for p in self.PAYLOADS]
-        assert [b.matches for b in batched] == [s.matches for s in looped]
-        assert batch_instance.telemetry.packets_scanned == len(self.PAYLOADS)
-
-    def test_inspect_batch_with_flow_keys(self):
-        instance = DPIServiceInstance(make_instance_config("flat", stateful=True))
-        chunks = [b"a split att", b"ack arrives"]
-        outputs = instance.inspect_batch(chunks, chain_id=100, flow_keys=["f", "f"])
-        assert outputs[1].matches[1] == [(0, 14)]  # cross-packet match
-
-    def test_inspect_batch_flow_key_length_mismatch(self):
-        instance = DPIServiceInstance(make_instance_config("flat"))
-        with pytest.raises(ValueError, match="flow_keys length"):
-            instance.inspect_batch([b"a", b"b"], chain_id=100, flow_keys=["only-one"])
 
     def test_scan_cache_stats_exposed(self):
         instance = DPIServiceInstance(make_instance_config("flat"))

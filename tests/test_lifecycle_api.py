@@ -1,9 +1,9 @@
 """Regression tests for the unified instance-lifecycle API.
 
 Covers the ``controller.instances`` facade (mapping semantics + lifecycle
-verbs), the deprecation shims left behind by the consolidation, the typed
-``telemetry_snapshot()`` accessor, and the ``migrate_flow`` failure
-contract.
+verbs), the ``**engine`` forwarding of engine options to
+``InstanceConfig``, the typed ``telemetry_snapshot()`` accessor, and the
+``migrate_flow`` failure contract.
 """
 
 import warnings
@@ -96,53 +96,7 @@ class TestInstanceManagerMapping:
 
 
 class TestDeprecationShims:
-    def test_create_instance_shim(self):
-        controller = make_controller()
-        with pytest.warns(DeprecationWarning, match="instances.provision"):
-            instance = controller.create_instance("dpi-1")
-        assert controller.instances["dpi-1"] is instance
-
-    def test_remove_instance_shim(self):
-        controller = make_controller()
-        instance = controller.instances.provision("dpi-1")
-        with pytest.warns(
-            DeprecationWarning, match="instances.decommission"
-        ):
-            assert controller.remove_instance("dpi-1") is instance
-        assert "dpi-1" not in controller.instances
-
-    def test_refresh_instances_shim(self):
-        controller = make_controller()
-        instance = controller.instances.provision("dpi-1")
-        controller.handle_message(
-            AddPatternsMessage(1, [Pattern(1, b"new-sig")])
-        )
-        with pytest.warns(DeprecationWarning, match="instances.refresh"):
-            controller.refresh_instances()
-        assert len(instance.config.pattern_sets[1]) == 2
-
-    def test_build_instance_config_shim(self):
-        controller = make_controller()
-        with pytest.warns(
-            DeprecationWarning, match="instances.build_config"
-        ):
-            config = controller.build_instance_config()
-        assert config == controller.instances.build_config()
-
-    def test_deploy_grouped_shim(self):
-        controller = make_controller()
-        with pytest.warns(DeprecationWarning, match="instances.plan_groups"):
-            deployed = controller.deploy_grouped(max_groups=1)
-        assert deployed == {"dpi-group-1": [CHAIN]}
-
-    def test_collect_telemetry_shim(self):
-        controller = make_controller()
-        controller.instances.provision("dpi-1")
-        with pytest.warns(
-            DeprecationWarning, match="telemetry_snapshot"
-        ):
-            telemetry = controller.collect_telemetry()
-        assert telemetry == dict(controller.telemetry_snapshot().instances)
+    """The PR 4 ``DPIController`` shims are gone; the facade never warned."""
 
     def test_facade_verbs_warn_nothing(self):
         controller = make_controller()
@@ -152,6 +106,88 @@ class TestDeprecationShims:
             controller.instances.refresh()
             controller.instances.build_config()
             controller.instances.decommission("dpi-1")
+
+
+SHARDED_CACHED = {
+    "kernel": "sharded",
+    "layout": "full",
+    "scan_cache_size": 16,
+    "shards": 2,
+    "shard_backend": "zerocopy",
+    "shard_kernel": "regex",
+    "shard_workers": 1,
+    "shard_pipelined": True,
+}
+
+
+def engine_options_of(instance):
+    return {name: getattr(instance.config, name) for name in SHARDED_CACHED}
+
+
+class TestEngineOptionForwarding:
+    """Engine options belong to ``InstanceConfig``; every layer above it
+    forwards ``**engine`` without naming them."""
+
+    def test_misspelt_option_is_a_type_error(self):
+        controller = make_controller()
+        with pytest.raises(TypeError, match="kernal"):
+            controller.instances.provision("x", kernal="flat")
+        assert "x" not in controller.instances
+        with pytest.raises(TypeError, match="kernal"):
+            controller.instances.build_config(kernal="flat")
+        with pytest.raises(TypeError, match="kernal"):
+            controller.instances.plan_groups(max_groups=1, kernal="flat")
+
+    def test_refresh_preserves_every_engine_option(self):
+        controller = make_controller()
+        instance = controller.instances.provision("dpi-1", **SHARDED_CACHED)
+        try:
+            controller.handle_message(
+                AddPatternsMessage(1, [Pattern(1, b"new-sig")])
+            )
+            controller.instances.refresh()
+            assert len(instance.config.pattern_sets[1]) == 2
+            assert engine_options_of(instance) == SHARDED_CACHED
+            output = instance.inspect(b"a new-sig", chain_id=CHAIN)
+            assert output.matches == {1: [(1, 9)]}
+        finally:
+            controller.instances.decommission("dpi-1")
+
+    def test_plan_groups_forwards_engine_options(self):
+        controller = make_controller()
+        controller.instances.plan_groups(
+            max_groups=1, kernel="regex", scan_cache_size=4
+        )
+        config = controller.instances["dpi-group-1"].config
+        assert (config.kernel, config.scan_cache_size) == ("regex", 4)
+
+    def test_failover_replacement_gets_the_provision_kwargs(self):
+        from repro.faults.recovery import FailoverCoordinator
+        from repro.telemetry.scenario import build_figure5_system
+
+        system = build_figure5_system(
+            extra_hosts={"standby": "s3"}, **SHARDED_CACHED
+        )
+        coordinator = FailoverCoordinator(
+            system.dpi_controller,
+            system.tsa,
+            system.topology,
+            instance_hosts={"dpi3": "dpi3"},
+            dpi_functions={"dpi3": system.dpi_function},
+            spare_hosts=["standby"],
+            provision_kwargs=SHARDED_CACHED,
+        )
+        instances = system.dpi_controller.instances
+        try:
+            system.instance.crash()
+            record = coordinator.handle_instance_down("dpi3")
+            assert record.mode == "provision"
+            replacement = instances[record.replacement]
+            assert engine_options_of(replacement) == SHARDED_CACHED
+            assert engine_options_of(system.instance) == SHARDED_CACHED
+        finally:
+            for name in list(instances):
+                instances.decommission(name)
 
 
 class TestTelemetrySnapshot:
@@ -173,6 +209,42 @@ class TestTelemetrySnapshot:
         instance = controller.instances.provision("dpi-1")
         instance.crash()
         assert controller.telemetry_snapshot().alive == {"dpi-1": False}
+
+    def test_active_flows_is_read_at_snapshot_time(self):
+        """Regression: ``active_flows`` was a copy of ``len(flow_table)``
+        stored per inspected packet, so drop / evict / migrate / restart
+        left the snapshot reporting flows that were gone."""
+        controller = make_controller()
+        instance = controller.instances.provision("dpi-1")
+        other = controller.instances.provision("dpi-2")
+
+        def gauge(name):
+            return controller.telemetry.registry.value(
+                "dpi_active_flows", instance=name
+            )
+
+        def check(expected):
+            snapshot = controller.telemetry_snapshot().instances
+            for name, count in expected.items():
+                table = controller.instances[name].scanner.flow_table
+                assert snapshot[name]["active_flows"] == len(table) == count
+                assert gauge(name) == count
+
+        for index, flow in enumerate(("f1", "f2", "f3", "f4")):
+            instance.inspect(
+                b"evil-si", chain_id=CHAIN, flow_key=flow, now=float(index)
+            )
+        check({"dpi-1": 4, "dpi-2": 0})
+        instance.drop_flow("f1")
+        check({"dpi-1": 3, "dpi-2": 0})
+        assert instance.scanner.flow_table.evict_idle(now=100.0, max_idle=98.5) == 1
+        check({"dpi-1": 2, "dpi-2": 0})
+        assert controller.migrate_flow("f3", "dpi-1", "dpi-2") is True
+        check({"dpi-1": 1, "dpi-2": 1})
+        instance.crash()
+        instance.restart()
+        check({"dpi-1": 0, "dpi-2": 1})
+        assert other.export_flow("f3") is not None
 
     def test_record_fault_lands_in_snapshot_and_export(self):
         controller = make_controller()

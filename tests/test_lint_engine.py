@@ -44,8 +44,8 @@ BAD_FIXTURES = {
     ),
     "API001": "def handler(queue=[]):\n    return queue\n",
     "API002": (
-        "def deploy(controller):\n"
-        "    return controller.create_instance('dpi-1')\n"
+        "def scan(instance, payload):\n"
+        "    return instance.inspect(payload, 100)\n"
     ),
     "KER001": (
         "class ShinyKernel:\n"
@@ -293,7 +293,7 @@ def test_api001_allows_immutable_defaults(snippet):
         ),
         (
             "def scan(instance, batch):\n"
-            "    return instance.inspect_batch(batch, 100)\n"
+            "    return [instance.inspect(p, 100) for p in batch]\n"
         ),
     ],
 )
@@ -310,7 +310,7 @@ def test_api002_flags_positional_inspection_calls(snippet):
         ),
         (
             "def scan(instance, batch):\n"
-            "    return instance.inspect_batch(batch, chain_id=100)\n"
+            "    return [instance.inspect(p, chain_id=100) for p in batch]\n"
         ),
         # Unrelated single-positional .inspect() on other objects is fine.
         "def peek(conn):\n    return conn.inspect(42)\n",

@@ -3,7 +3,7 @@
 Each validator is checked both ways: a well-formed object yields no
 issues, and a specifically broken one yields exactly the expected code.
 The entry-point tests pin the ``validate=True`` defaults on
-``TrafficSteeringApplication.realize`` and ``DPIController.create_instance``.
+``TrafficSteeringApplication.realize`` and ``InstanceManager.provision``.
 """
 
 import pytest
