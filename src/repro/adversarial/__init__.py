@@ -3,9 +3,9 @@
 ``repro.adversarial`` generates seeded adversarial inputs — cross-packet
 pattern splits under ambiguous TCP overlap, truncated/corrupt gzip
 regions, pathological pattern-overlap geometry, reassembly-buffer
-exhaustion — and replays them differentially through every kernel family
-× sharding mode × execution backend, asserting byte-identical matches,
-flow state and telemetry.  ``repro-dpi fuzz-diff`` is the CLI entry.
+exhaustion — and replays them differentially through every kernel
+family, asserting byte-identical matches, flow state and telemetry.
+``repro-dpi fuzz-diff`` is the CLI entry.
 """
 
 from repro.adversarial.corpus import (
@@ -18,8 +18,6 @@ from repro.adversarial.corpus import (
     generate_corpus,
 )
 from repro.adversarial.differential import (
-    DEFAULT_SHARDS,
-    DIGEST_EXCLUDE_TOKENS,
     DifferentialReport,
     Divergence,
     Leg,
@@ -37,8 +35,6 @@ __all__ = [
     "CorpusEnvironment",
     "default_environment",
     "generate_corpus",
-    "DEFAULT_SHARDS",
-    "DIGEST_EXCLUDE_TOKENS",
     "DifferentialReport",
     "Divergence",
     "Leg",

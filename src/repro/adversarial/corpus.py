@@ -226,7 +226,7 @@ def default_environment() -> CorpusEnvironment:
     Deliberately pathological: middlebox 1 carries self-overlapping
     patterns (a suffix that is also a prefix, so occurrences can overlap
     and a split can hide one), middlebox 2 shares prefixes with middlebox
-    1 across *different* automata shards, and middlebox 3 is stateful with
+    1 (one trie path, two owners), and middlebox 3 is stateful with
     a stopping condition so the scan limit lands mid-stream.  One regex
     per set keeps the prefilter kernel family honest.
     """

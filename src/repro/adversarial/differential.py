@@ -1,28 +1,22 @@
-"""Differential replay: one adversarial corpus, every engine shape.
+"""Differential replay: one adversarial corpus, every scan kernel.
 
 The scan-once thesis is a *bit-for-bit* claim: the reference, flat-table
-and regex-prefilter kernels — monolithic or sharded, on the serial,
-process-pool or zerocopy-arena backends — must produce identical
+and regex-prefilter kernels must produce identical
 :class:`~repro.core.instance.InspectionOutput` matches, identical flow
-state, and identical (canonicalized) telemetry for any input, including
-the adversarial ones.  This module replays each corpus case through every
-*leg* (one engine configuration) and reports any disagreement as a
-structured divergence.
+state, and identical telemetry for any input, including the adversarial
+ones.  This module replays each corpus case through every *leg* (one
+engine configuration) and reports any disagreement as a structured
+divergence.
 
 What is compared, per case:
 
 * **matches** — the resolved per-middlebox ``(pattern id, position)``
   pairs of every inspected view, in delivery order;
 * **flow state** — the flow table's ``offset``/``packets``/``last_seen``
-  per flow key (the raw DFA ``state`` is representation-specific: sharded
-  automata encode a mixed-radix tuple where monolithic ones store a node
-  id, so equal raw states across legs would be an accident, not a
-  contract — equal *offsets* are the contract);
-* **telemetry digest** — one canonical digest per leg over the whole
-  replay, with ``shard``-token metrics excluded
-  (:func:`repro.telemetry.digest.deterministic_digest` with
-  ``extra_exclude_tokens``), because a monolithic leg has no shards to
-  count;
+  per flow key;
+* **telemetry digest** — one
+  :func:`~repro.telemetry.digest.deterministic_digest` per leg over the
+  whole replay;
 * **anomaly feature digest** — every leg feeds a
   :class:`~repro.anomaly.features.FeatureExtractor` the same scan
   metadata its inspections produce (size, match count, deterministic
@@ -46,17 +40,9 @@ from repro.anomaly.features import FeatureExtractor, features_digest
 from repro.core.instance import DPIServiceInstance, InstanceConfig
 from repro.core.kernels import KERNEL_NAMES
 from repro.core.preprocess import PayloadPreprocessor
-from repro.core.workers import BACKEND_NAMES
 from repro.net.reassembly import StreamReassembler
 from repro.telemetry import TelemetryHub
 from repro.telemetry.digest import deterministic_digest
-
-#: Metric-name tokens excluded from cross-leg digest comparison (on top of
-#: the timing/backend exclusions the digest always applies).
-DIGEST_EXCLUDE_TOKENS = frozenset({"shard"})
-
-#: Shard count the sharded legs run with.
-DEFAULT_SHARDS = 2
 
 
 @dataclass(frozen=True)
@@ -64,11 +50,7 @@ class Leg:
     """One engine configuration under differential test."""
 
     name: str
-    kernel: str  # "reference" | "flat" | "regex" | "sharded"
-    shard_kernel: str = "flat"  # per-shard family when kernel == "sharded"
-    backend: str = "serial"
-    shards: int = 0
-    pipelined: bool = False
+    kernel: str  # one of KERNEL_NAMES
 
     def instance_config(self, environment) -> InstanceConfig:
         """The instance configuration this leg runs."""
@@ -77,36 +59,14 @@ class Leg:
             profiles=environment.profiles,
             chain_map=environment.chain_map,
             kernel=self.kernel,
-            shards=self.shards,
-            shard_kernel=self.shard_kernel,
-            shard_backend=self.backend if self.shards else "serial",
-            shard_pipelined=self.pipelined,
         )
 
 
 def default_legs() -> list:
-    """Every kernel family × monolithic/sharded × execution backend.
-
-    Three monolithic legs (one per kernel family) plus nine sharded legs
-    (three shard-kernel families × three backends); the zerocopy legs run
-    pipelined so the double-buffered path is under test too.
-    """
-    legs = [
+    """One leg per kernel family; the reference kernel is the baseline."""
+    return [
         Leg(name=f"mono-{kernel}", kernel=kernel) for kernel in KERNEL_NAMES
     ]
-    for shard_kernel in KERNEL_NAMES:
-        for backend in BACKEND_NAMES:
-            legs.append(
-                Leg(
-                    name=f"shard-{shard_kernel}-{backend}",
-                    kernel="sharded",
-                    shard_kernel=shard_kernel,
-                    backend=backend,
-                    shards=DEFAULT_SHARDS,
-                    pipelined=(backend == "zerocopy"),
-                )
-            )
-    return legs
 
 
 def legs_by_name(names) -> list:
@@ -250,8 +210,6 @@ def replay_case(
         if not (isinstance(key, tuple) and key and key[0] == case.name):
             continue  # another case's flow
         exported = flow_table.export_flow(key)
-        # The raw DFA state is representation-specific (see module
-        # docstring); offset/packets/last_seen are the cross-leg contract.
         flows[repr(key)] = {
             "offset": exported["offset"],
             "packets": exported["packets"],
@@ -322,27 +280,21 @@ def run_differential(
         )
         anomaly = FeatureExtractor()
         results = {}
-        try:
-            for case in corpus.cases:
-                try:
-                    results[case.name] = replay_case(
-                        instance,
-                        case,
-                        overflow_counter=overflow_counter,
-                        anomaly=anomaly,
-                    )
-                except Exception as error:  # a crash IS a divergence
-                    report.errors.append(
-                        (leg.name, case.name, f"{type(error).__name__}: {error}")
-                    )
-                    results[case.name] = None
-        finally:
-            if hasattr(instance.automaton, "shutdown"):
-                instance.automaton.shutdown()
+        for case in corpus.cases:
+            try:
+                results[case.name] = replay_case(
+                    instance,
+                    case,
+                    overflow_counter=overflow_counter,
+                    anomaly=anomaly,
+                )
+            except Exception as error:  # a crash IS a divergence
+                report.errors.append(
+                    (leg.name, case.name, f"{type(error).__name__}: {error}")
+                )
+                results[case.name] = None
         per_leg[leg.name] = results
-        digests[leg.name] = deterministic_digest(
-            hub, extra_exclude_tokens=DIGEST_EXCLUDE_TOKENS
-        )
+        digests[leg.name] = deterministic_digest(hub)
         report.anomaly_digests[leg.name] = features_digest(
             anomaly.features_map()
         )

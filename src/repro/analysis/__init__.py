@@ -9,12 +9,9 @@ flows (see DESIGN.md section 9):
   iteration order, bounded telemetry label cardinality, immutable
   defaults and the scan-kernel contract surface — behind
   ``repro-dpi lint``;
-* a **dataflow layer** under the lint engine — per-function control-flow
-  graphs (:mod:`repro.analysis.cfg`), a forward dataflow engine
-  (:mod:`repro.analysis.dataflow`) and a module-level call graph
-  (:mod:`repro.analysis.callgraph`) — powering the resource-lifecycle
-  (RES) and concurrency (CON) rule families plus transitive
-  determinism taint (DET003), see DESIGN.md section 14;
+* a module-level **call graph** (:mod:`repro.analysis.callgraph`) under
+  the lint engine, powering transitive determinism taint (DET003), see
+  DESIGN.md section 9;
 * pure **static config validators** (:mod:`repro.analysis.validators`)
   that check a topology / policy-chain / flow-table / pattern-set
   combination for consistency before a simulation runs, behind
@@ -26,8 +23,6 @@ flows (see DESIGN.md section 9):
 from __future__ import annotations
 
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.cfg import CFG, build_cfg, function_cfgs
-from repro.analysis.dataflow import TransferClient, run_forward
 from repro.analysis.engine import LintEngine, lint_paths, lint_source
 from repro.analysis.findings import Finding
 from repro.analysis.program import Program
@@ -51,16 +46,11 @@ from repro.analysis.validators import (
 )
 
 __all__ = [
-    "CFG",
     "CallGraph",
     "Finding",
     "LintEngine",
     "Program",
     "RULE_REGISTRY",
-    "TransferClient",
-    "build_cfg",
-    "function_cfgs",
-    "run_forward",
     "Severity",
     "ValidationError",
     "ValidationIssue",

@@ -1,4 +1,4 @@
-"""Leaf AST helpers shared by rules, the call graph and the CFG layer.
+"""Leaf AST helpers shared by rules and the call graph.
 
 This module must stay import-free of the rest of :mod:`repro.analysis`
 (rules, engine, call graph) — it is the bottom of the import graph, so

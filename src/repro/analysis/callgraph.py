@@ -1,15 +1,9 @@
 """A lightweight module-level call graph over linted modules.
 
 Per-statement rules (DET001 and friends) see one call expression at a
-time; two rule families need more:
-
-* **DET003** asks "does this sim-scoped call *transitively* reach a
-  wall-clock read?", which requires following calls across every module
-  in the lint run; and
-* **RES001** treats a call to a *resource factory* (a function that
-  returns a fresh ``SharedMemory``/``Process``/... — directly or via
-  another factory) as an acquisition, so ownership facts propagate
-  instead of stopping at the first helper function.
+time; **DET003** asks "does this sim-scoped call *transitively* reach a
+wall-clock read?", which requires following calls across every module in
+the lint run.
 
 Resolution is deliberately lightweight and purely syntactic:
 
@@ -21,8 +15,8 @@ Resolution is deliberately lightweight and purely syntactic:
   external sinks like ``time.time``) with no program edge.
 
 Unresolvable calls simply contribute no edge — the graph
-under-approximates, which for the taint/factory facts means missed
-findings, never false ones.
+under-approximates, which for the taint facts means missed findings,
+never false ones.
 """
 
 from __future__ import annotations
@@ -68,8 +62,6 @@ class FunctionInfo:
         self.node = node
         self.class_name = class_name
         self.calls: list[CallSite] = []
-        #: Expressions this function returns (None returns excluded).
-        self.returns: list[ast.expr] = []
 
 
 class Reach(NamedTuple):
@@ -162,8 +154,6 @@ class CallGraph:
                     continue  # belongs to a nested function's own info
                 if isinstance(node, ast.Call):
                     info.calls.append(self._resolve(scope, info, node))
-                elif isinstance(node, ast.Return) and node.value is not None:
-                    info.returns.append(node.value)
 
     def _resolve(
         self, scope: _ModuleScope, info: FunctionInfo, node: ast.Call
@@ -227,37 +217,3 @@ class CallGraph:
                         changed = True
                         break
         return reaches
-
-    def returning_functions(
-        self, is_direct: Callable[[ast.expr, FunctionInfo], bool]
-    ) -> set[str]:
-        """Functions whose return value satisfies *is_direct* — or returns
-        a call to another such function, transitively (resource
-        factories)."""
-        factories: set[str] = set()
-        for qualname, info in self.functions.items():
-            if any(
-                is_direct(expression, info) for expression in info.returns
-            ):
-                factories.add(qualname)
-        changed = True
-        while changed:
-            changed = False
-            for qualname, info in self.functions.items():
-                if qualname in factories:
-                    continue
-                for expression in info.returns:
-                    if not isinstance(expression, ast.Call):
-                        continue
-                    site = next(
-                        (s for s in info.calls if s.node is expression), None
-                    )
-                    if (
-                        site is not None
-                        and site.target in factories
-                        and site.target != qualname
-                    ):
-                        factories.add(qualname)
-                        changed = True
-                        break
-        return factories

@@ -6,11 +6,10 @@ and dispatches every node to the rules registered for its type (a
 visitor registry — adding a rule never adds another tree walk).  After
 the per-node walk, rules get a **project phase**: :meth:`Rule.finish`
 runs once per lint run with a :class:`~repro.analysis.program.Program`
-spanning every linted module — this is where the dataflow/call-graph
-family (RES/CON/DET003) and the suppression audit (NOQ001) live, because
-their questions ("does this exit path skip ``unlink``?", "does this call
-transitively reach the wall clock?") are about paths and programs, not
-single nodes.
+spanning every linted module — this is where the call-graph rule
+(DET003) and the suppression audit (NOQ001) live, because their questions
+("does this call transitively reach the wall clock?") are about programs,
+not single nodes.
 
 Suppressions follow the project convention::
 
@@ -186,7 +185,7 @@ class LintEngine:
         """Lint files and directory trees (``*.py``, sorted for stability).
 
         All files form one program: the project-phase rules (call graph,
-        dataflow, suppression audit) see them together, so facts like
+        suppression audit) see them together, so facts like
         "this helper reaches the wall clock" cross file boundaries.
         """
         files: list[tuple[str, str]] = []

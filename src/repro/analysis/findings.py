@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Recognized severities, strongest first.  ``error`` findings gate CI;
-#: ``warning`` findings (the suppression audit) inform but still fail an
-#: unbaselined run so they cannot silently accumulate.
+#: ``warning`` findings (the suppression audit) inform but still fail the
+#: run so they cannot silently accumulate.
 SEVERITIES = ("error", "warning")
 
 

@@ -1,12 +1,12 @@
 """The whole-lint-run view handed to project-phase rules.
 
-Per-node rules see one module at a time; the dataflow/call-graph family
-(RES/CON/DET003, DESIGN.md section 14) and the suppression audit (NOQ001)
-run once over the *whole* set of linted modules after the per-node walk.
-:class:`Program` is what they receive: every module's
-:class:`~repro.analysis.engine.LintContext`, lazily-built per-module CFGs
-and a lazily-built cross-module :class:`~repro.analysis.callgraph.CallGraph`
-— built at most once per lint run no matter how many rules ask.
+Per-node rules see one module at a time; the call-graph rule (DET003,
+DESIGN.md section 9) and the suppression audit (NOQ001) run once over the
+*whole* set of linted modules after the per-node walk.  :class:`Program`
+is what they receive: every module's
+:class:`~repro.analysis.engine.LintContext` and a lazily-built
+cross-module :class:`~repro.analysis.callgraph.CallGraph` — built at most
+once per lint run no matter how many rules ask.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.cfg import CFG, function_cfgs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.analysis.engine import LintContext
@@ -47,16 +46,7 @@ class Program:
         #: True when the run covered the full registered catalog —
         #: blanket suppressions are only auditable then.
         self.complete: bool = False
-        self._cfgs: dict[str, dict[str, CFG]] = {}
         self._call_graph: CallGraph | None = None
-
-    def cfgs_for(self, context: "LintContext") -> dict[str, CFG]:
-        """``{qualname: CFG}`` for one module (cached)."""
-        cached = self._cfgs.get(context.path)
-        if cached is None:
-            cached = function_cfgs(context.tree)
-            self._cfgs[context.path] = cached
-        return cached
 
     @property
     def call_graph(self) -> CallGraph:

@@ -43,7 +43,7 @@ def render_json(findings: Sequence[Finding]) -> str:
 
     Findings are sorted by (path, line, col, code); ``counts`` is keyed
     by rule code.  The schema is covered by tests — CI consumers may
-    rely on it.  (``severity`` was added by the dataflow-analyzer PR as
+    rely on it.  (``severity`` was added with NOQ001 as
     a compatible extension, so the version stays 1.)
     """
     ordered = sorted(findings)

@@ -2,12 +2,11 @@
 
 A rule subclasses :class:`Rule`, declares a unique ``code``, the AST
 node types it wants to see, and yields findings from :meth:`Rule.visit`.
-Rules that need whole-program facts (control-flow paths, the call graph,
-suppression usage) override :meth:`Rule.finish`, which runs once per
-lint run with a :class:`~repro.analysis.program.Program`.  Registration
-happens through :func:`register_rule`, which keeps
-:data:`RULE_REGISTRY` (code -> rule class) that the engine, the CLI and
-the documentation all read.
+Rules that need whole-program facts (the call graph, suppression usage)
+override :meth:`Rule.finish`, which runs once per lint run with a
+:class:`~repro.analysis.program.Program`.  Registration happens through
+:func:`register_rule`, which keeps :data:`RULE_REGISTRY` (code -> rule
+class) that the engine, the CLI and the documentation all read.
 
 Catalog:
 
@@ -19,10 +18,6 @@ TEL001    unbounded metric label cardinality
 API001    mutable default argument
 API002    positional chain_id/flow arguments to ``.inspect()``
 KER001    scan-kernel public method outside the kernel contract surface
-RES001    resource acquisition with an exit path that skips release
-RES002    resource escapes to an attribute with no owning teardown
-CON001    thread/lock/fed-queue state live before a fork Process start
-CON002    queue protocol violation (put/get after close, double close)
 NOQ001    ``# repro: noqa`` comment that suppresses nothing (warning)
 PARSE001  (engine-emitted) unparseable module
 ========  ==================================================================
@@ -106,10 +101,8 @@ __all__ = [
 # Rule/register_rule exist because each module imports them from here.
 from repro.analysis.rules import (  # noqa: E402,F401
     api,
-    concurrency,
     determinism,
     kernel,
-    resources,
     suppressions,
     telemetry,
 )

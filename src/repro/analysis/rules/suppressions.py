@@ -9,7 +9,7 @@ ones that earned their keep; this rule flags the rest.
 Fairness rules:
 
 * a bracketed suppression is only judged when every registered code it
-  names actually ran (``--select RES`` must not flag an unused
+  names actually ran (``--select API`` must not flag an unused
   ``noqa[DET001]``);
 * a blanket ``# repro: noqa`` is only judged on full-catalog runs;
 * codes that are not registered at all are always flagged — they can

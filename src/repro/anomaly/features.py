@@ -289,8 +289,8 @@ def features_digest(features: Mapping[Hashable, FlowFeatures]) -> str:
     """A canonical digest over a feature map (bit-exact float reprs).
 
     Two extractors that observed the same per-flow metadata — regardless
-    of kernel, backend or batching — produce the same digest; the
-    differential harness compares it across all twelve legs.
+    of kernel — produce the same digest; the differential harness compares
+    it across its legs.
     """
     canonical = []
     for key in sorted(features, key=repr):

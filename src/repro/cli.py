@@ -20,10 +20,8 @@ import time
 from pathlib import Path
 
 from repro.core.aho_corasick import AhoCorasick
-from repro.core.instance import INSTANCE_KERNEL_NAMES
 from repro.core.kernels import KERNEL_NAMES, EngineConfigError
 from repro.core.patterns import Pattern, PatternKind
-from repro.core.workers import BACKEND_NAMES
 from repro.core.wu_manber import WuManber
 from repro.autoscale.policies import POLICY_NAMES as LOAD_POLICY_NAMES
 from repro.load.profiles import RAMP_KINDS as LOAD_RAMP_KINDS
@@ -101,35 +99,15 @@ def _cmd_scan(args) -> int:
     if args.engine == "ac":
         engine = AhoCorasick(literals, layout=args.layout)
     elif args.engine == "combined":
+        from repro.core.combined import CombinedAutomaton
+
         pattern_sets = {0: [Pattern(i, data) for i, data in enumerate(literals)]}
-        if args.kernel == "sharded":
-            from repro.core.sharding import ShardedAutomaton
-
-            if args.shards < 1:
-                print(
-                    "scan: --kernel sharded needs --shards >= 1",
-                    file=sys.stderr,
-                )
-                return 2
-            automaton = ShardedAutomaton(
-                pattern_sets,
-                args.shards,
-                layout=args.layout,
-                shard_kernel=args.shard_kernel,
-                backend=args.shard_backend,
-                scan_cache_size=args.cache_size,
-                workers=args.shard_workers or None,
-                pipelined=args.pipelined,
-            )
-        else:
-            from repro.core.combined import CombinedAutomaton
-
-            automaton = CombinedAutomaton(
-                pattern_sets,
-                layout=args.layout,
-                kernel=args.kernel,
-                scan_cache_size=args.cache_size,
-            )
+        automaton = CombinedAutomaton(
+            pattern_sets,
+            layout=args.layout,
+            kernel=args.kernel,
+            scan_cache_size=args.cache_size,
+        )
 
         def count_combined(payload):
             return sum(
@@ -144,38 +122,18 @@ def _cmd_scan(args) -> int:
     started = time.perf_counter()
     total_matches = 0
     matched_packets = 0
-    if args.engine == "combined" and args.kernel == "sharded" and args.pipelined:
-        # The pipelined arena path is batched by construction: scan the
-        # whole trace in one double-buffered pass.
-        for result in engine.scan_batch(list(trace.payloads), pipelined=True):
-            found = sum(
-                len(engine.match_entry(state))
-                for state, _ in result.raw_matches
-            )
-            total_matches += found
-            if found:
-                matched_packets += 1
-    else:
-        for payload in trace.payloads:
-            found = engine.count_matches(payload)
-            total_matches += found
-            if found:
-                matched_packets += 1
+    for payload in trace.payloads:
+        found = engine.count_matches(payload)
+        total_matches += found
+        if found:
+            matched_packets += 1
     elapsed = time.perf_counter() - started
-    if hasattr(engine, "shutdown"):
-        engine.shutdown()
     mbps = trace.total_bytes * 8 / elapsed / 1e6 if elapsed > 0 else float("inf")
     detail = ""
     if args.engine == "ac":
         detail = f" ({args.layout})"
     elif args.engine == "combined":
         detail = f" ({args.layout}, kernel={args.kernel})"
-        if args.kernel == "sharded":
-            pipeline_note = ", pipelined" if args.pipelined else ""
-            detail = (
-                f" ({args.layout}, kernel=sharded x{args.shards}"
-                f" {args.shard_kernel}/{args.shard_backend}{pipeline_note})"
-            )
     print(f"engine: {args.engine}" + detail)
     print(f"packets: {len(trace)}  bytes: {trace.total_bytes}")
     print(f"matched packets: {matched_packets}  total matches: {total_matches}")
@@ -189,7 +147,10 @@ def _cmd_report(args) -> int:
     from repro.telemetry.scenario import run_figure5_scenario
 
     result = run_figure5_scenario(
-        packets=args.packets, seed=args.seed, **_engine_options(args)
+        packets=args.packets,
+        seed=args.seed,
+        kernel=args.kernel,
+        scan_cache_size=args.cache_size,
     )
     # Export before printing: a closed stdout pipe (`report | head`) must
     # not cost the caller their --jsonl / --prom files.
@@ -212,12 +173,6 @@ def _cmd_lint(args) -> int:
         default_rules,
         render_json,
         render_text,
-    )
-    from repro.analysis.baseline import (
-        BaselineError,
-        apply_baseline,
-        load_baseline,
-        write_baseline,
     )
 
     paths = list(args.paths)
@@ -243,29 +198,6 @@ def _cmd_lint(args) -> int:
             )
             return 2
     findings = LintEngine(rules).lint_paths(paths)
-    if args.write_baseline:
-        if not args.baseline:
-            print(
-                "lint: --write-baseline needs --baseline FILE",
-                file=sys.stderr,
-            )
-            return 2
-        count = write_baseline(findings, args.baseline)
-        print(f"wrote {count} baseline entries to {args.baseline}")
-        return 0
-    if args.baseline:
-        try:
-            entries = load_baseline(args.baseline)
-        except (OSError, BaselineError) as error:
-            print(f"lint: {error}", file=sys.stderr)
-            return 2
-        findings, stale = apply_baseline(findings, entries)
-        for path, code, message in stale:
-            print(
-                f"lint: stale baseline entry (fixed debt — refresh with "
-                f"--write-baseline): {path}: {code} {message}",
-                file=sys.stderr,
-            )
     render = render_json if args.format == "json" else render_text
     sys.stdout.write(render(findings))
     return 1 if findings else 0
@@ -630,7 +562,7 @@ def _cmd_chaos(args) -> int:
         packets=args.packets,
         heartbeat=heartbeat,
         allow_spare=not args.no_spare,
-        **_engine_options(args),
+        kernel=args.kernel,
     )
     summary = result.summary()
     if args.format == "json":
@@ -757,58 +689,6 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _add_sharding_flags(command: argparse.ArgumentParser) -> None:
-    """The --shards/--shard-backend/... family (for --kernel sharded)."""
-    command.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="shard count for --kernel sharded (0 = unsharded)",
-    )
-    command.add_argument(
-        "--shard-backend",
-        choices=BACKEND_NAMES,
-        default="serial",
-        help="execution backend for sharded scans",
-    )
-    command.add_argument(
-        "--shard-kernel",
-        choices=KERNEL_NAMES,
-        default="flat",
-        help="per-shard kernel family for sharded scans",
-    )
-    command.add_argument(
-        "--shard-workers",
-        type=int,
-        default=0,
-        help="worker processes for pooled shard backends "
-        "(0 = min(shards, cpu count))",
-    )
-    command.add_argument(
-        "--pipelined",
-        action="store_true",
-        help="double-buffer batched sharded scans through two arena "
-        "regions (zerocopy backend)",
-    )
-
-
-def _engine_options(args) -> dict:
-    """The parsed ``--kernel`` / ``--cache-size`` / ``--shards...`` flags as
-    the ``**engine`` mapping :class:`~repro.core.instance.InstanceConfig`
-    validates (``chaos`` has no ``--cache-size``)."""
-    options = {
-        "kernel": args.kernel,
-        "shards": args.shards,
-        "shard_backend": args.shard_backend,
-        "shard_kernel": args.shard_kernel,
-        "shard_workers": args.shard_workers,
-        "shard_pipelined": args.pipelined,
-    }
-    if hasattr(args, "cache_size"):
-        options["scan_cache_size"] = args.cache_size
-    return options
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command-line parser."""
     parser = argparse.ArgumentParser(
@@ -843,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--layout", choices=("sparse", "full"), default="sparse")
     scan.add_argument(
         "--kernel",
-        choices=INSTANCE_KERNEL_NAMES,
+        choices=KERNEL_NAMES,
         default="flat",
         help="scan kernel for --engine combined",
     )
@@ -853,7 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="LRU scan-cache capacity for --engine combined (0 = off)",
     )
-    _add_sharding_flags(scan)
     scan.set_defaults(func=_cmd_scan)
 
     report = commands.add_parser(
@@ -863,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--packets", type=int, default=40)
     report.add_argument("--seed", type=int, default=7)
     report.add_argument(
-        "--kernel", choices=INSTANCE_KERNEL_NAMES, default="flat"
+        "--kernel", choices=KERNEL_NAMES, default="flat"
     )
     report.add_argument(
         "--cache-size",
@@ -871,7 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="LRU scan-cache capacity for the DPI instance (0 = off)",
     )
-    _add_sharding_flags(report)
     report.add_argument("--jsonl", help="also export the JSONL event log here")
     report.add_argument(
         "--prom", help="also export a Prometheus text-format dump here"
@@ -892,16 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--select",
         help="comma-separated rule-code prefixes to run "
-        "(e.g. RES,CON,DET003); default runs the full catalog",
-    )
-    lint.add_argument(
-        "--baseline",
-        help="JSON baseline of accepted findings; only new findings fail",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="(re)write --baseline FILE from the current findings and exit",
+        "(e.g. DET,API001); default runs the full catalog",
     )
     lint.set_defaults(func=_cmd_lint)
 
@@ -968,12 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument(
         "--kernel",
-        # Standalone kernels only: the load driver provisions instances
-        # without shard flags, so the sharded kernel cannot be configured
-        # from here.
-        choices=tuple(
-            name for name in INSTANCE_KERNEL_NAMES if name != "sharded"
-        ),
+        choices=KERNEL_NAMES,
         default="flat",
     )
     load.add_argument(
@@ -1061,9 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--packets", type=int, default=60)
     chaos.add_argument(
-        "--kernel", choices=INSTANCE_KERNEL_NAMES, default="flat"
+        "--kernel", choices=KERNEL_NAMES, default="flat"
     )
-    _add_sharding_flags(chaos)
     chaos.add_argument(
         "--failover-budget",
         type=float,
@@ -1080,8 +943,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz_diff = commands.add_parser(
         "fuzz-diff",
-        help="replay an adversarial corpus through every kernel/backend "
-        "leg and report divergences",
+        help="replay an adversarial corpus through every kernel leg and "
+        "report divergences",
     )
     fuzz_diff.add_argument(
         "--seed", type=int, default=1234, help="corpus generator seed"
@@ -1100,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--legs",
         nargs="+",
         metavar="LEG",
-        help="restrict to named legs (default: all kernel×backend legs)",
+        help="restrict to named legs (default: all three kernel legs)",
     )
     fuzz_diff.add_argument(
         "--out", help="also write the full JSON report to this path"

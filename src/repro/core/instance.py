@@ -26,8 +26,6 @@ from repro.core.patterns import Pattern, PatternKind
 from repro.core.regex import RegexPreFilter, split_matches
 from repro.core.reports import MatchReport
 from repro.core.scanner import MiddleboxProfile, VirtualScanner
-from repro.core.sharding import SHARDED_KERNEL_NAME, ShardedAutomaton
-from repro.core.workers import BACKEND_NAMES
 from repro.net.flows import FiveTuple
 from repro.net.host import NetworkFunction
 from repro.net.nsh import (
@@ -39,10 +37,6 @@ from repro.net.nsh import (
 from repro.net.packet import Packet
 
 RESULT_MODES = ("result_packet", "nsh", "tags")
-
-#: Kernels an instance accepts: the single-automaton families plus the
-#: sharded fan-out kernel (see repro.core.sharding).
-INSTANCE_KERNEL_NAMES = KERNEL_NAMES + (SHARDED_KERNEL_NAME,)
 
 
 class InstanceUnavailableError(RuntimeError):
@@ -70,64 +64,15 @@ class InstanceConfig:
     #: scans also skip the real per-byte work the MCA^2 stress telemetry
     #: measures, so caching is opt-in).
     scan_cache_size: int = 0
-    #: Shard count for ``kernel="sharded"`` (0 means unsharded; any other
-    #: kernel requires it to stay 0).
-    shards: int = 0
-    #: Execution backend for sharded scans (see repro.core.workers).
-    shard_backend: str = "serial"
-    #: Per-shard kernel family for sharded scans.
-    shard_kernel: str = "flat"
-    #: Worker-process count for pooled shard backends (0 picks
-    #: min(shards, cpu_count); any other kernel requires it to stay 0).
-    shard_workers: int = 0
-    #: Double-buffer batched sharded scans through two arena regions
-    #: (effective on the ``zerocopy`` backend; others ignore it).
-    shard_pipelined: bool = False
 
     def __post_init__(self) -> None:
         for middlebox_id in self.pattern_sets:
             if middlebox_id not in self.profiles:
                 raise KeyError(f"pattern set without profile: {middlebox_id}")
-        if self.kernel not in INSTANCE_KERNEL_NAMES:
+        if self.kernel not in KERNEL_NAMES:
             raise EngineConfigError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {INSTANCE_KERNEL_NAMES}"
+                f"unknown kernel {self.kernel!r}; expected one of {KERNEL_NAMES}"
             )
-        if self.kernel == SHARDED_KERNEL_NAME:
-            if self.shards < 1:
-                raise EngineConfigError(
-                    f"kernel 'sharded' needs shards >= 1, got {self.shards}"
-                )
-        elif self.shards:
-            raise EngineConfigError(
-                f"shards={self.shards} requires kernel='sharded', "
-                f"not {self.kernel!r}"
-            )
-        if self.shard_backend not in BACKEND_NAMES:
-            raise EngineConfigError(
-                f"unknown shard backend {self.shard_backend!r}; "
-                f"expected one of {BACKEND_NAMES}"
-            )
-        if self.shard_kernel not in KERNEL_NAMES:
-            raise EngineConfigError(
-                f"unknown shard kernel {self.shard_kernel!r}; "
-                f"expected one of {KERNEL_NAMES}"
-            )
-        if self.shard_workers < 0:
-            raise EngineConfigError(
-                f"negative shard worker count: {self.shard_workers}"
-            )
-        if self.kernel != SHARDED_KERNEL_NAME:
-            if self.shard_workers:
-                raise EngineConfigError(
-                    f"shard_workers={self.shard_workers} requires "
-                    f"kernel='sharded', not {self.kernel!r}"
-                )
-            if self.shard_pipelined:
-                raise EngineConfigError(
-                    f"shard_pipelined requires kernel='sharded', "
-                    f"not {self.kernel!r}"
-                )
         if self.scan_cache_size < 0:
             raise EngineConfigError(
                 f"negative scan cache size: {self.scan_cache_size}"
@@ -200,11 +145,6 @@ class DPIServiceInstance:
         self._configure(config)
 
     def _configure(self, config: InstanceConfig) -> None:
-        old = getattr(self, "automaton", None)
-        if old is not None and hasattr(old, "shutdown"):
-            # Reconfigure/restart replaces the automaton; release any
-            # worker pool the old one holds before dropping the reference.
-            old.shutdown()
         self.config = config
         self.prefilter = RegexPreFilter()
         literal_sets: dict[int, list[Pattern]] = {}
@@ -216,24 +156,12 @@ class DPIServiceInstance:
                 else:
                     literals.extend(self.prefilter.add_regex(middlebox_id, pattern))
             literal_sets[middlebox_id] = literals
-        if config.kernel == SHARDED_KERNEL_NAME:
-            self.automaton = ShardedAutomaton(
-                literal_sets,
-                config.shards,
-                layout=config.layout,
-                shard_kernel=config.shard_kernel,
-                backend=config.shard_backend,
-                scan_cache_size=config.scan_cache_size,
-                workers=config.shard_workers or None,
-                pipelined=config.shard_pipelined,
-            )
-        else:
-            self.automaton = CombinedAutomaton(
-                literal_sets,
-                layout=config.layout,
-                kernel=config.kernel,
-                scan_cache_size=config.scan_cache_size,
-            )
+        self.automaton = CombinedAutomaton(
+            literal_sets,
+            layout=config.layout,
+            kernel=config.kernel,
+            scan_cache_size=config.scan_cache_size,
+        )
         self.scanner = VirtualScanner(
             self.automaton, config.profiles, config.chain_map
         )
@@ -282,9 +210,6 @@ class DPIServiceInstance:
                 "dpi_scan_cache_evictions", lambda: cache.evictions, instance=name
             )
         scanner.bind_metrics(registry, name)
-        automaton = self.automaton
-        if hasattr(automaton, "bind_telemetry"):
-            automaton.bind_telemetry(hub, name)
         self._tracer = hub.tracer
 
     def reconfigure(self, config: InstanceConfig) -> None:
@@ -316,10 +241,6 @@ class DPIServiceInstance:
             return
         self.alive = False
         self.crashes += 1
-        if hasattr(self.automaton, "shutdown"):
-            # A dead process takes its worker pool with it: drain the pool
-            # so no shard worker outlives the crashed instance.
-            self.automaton.shutdown()
         if self.hub is not None:
             self.hub.registry.counter(
                 "dpi_instance_crashes_total", instance=self.name

@@ -477,7 +477,7 @@ def make_kernel(automaton, name: str) -> ScanKernel:
 
 
 class EngineConfigError(ValueError):
-    """An engine option (kernel, layout, scan cache, ``shard_*``) holds a
+    """An engine option (kernel, layout, scan cache) holds a
     value no scan engine can be built with.  Raised before anything is
     built, so a caller — the CLI exits 2 on it — can report the message."""
 

@@ -17,11 +17,10 @@ verb:
   spawning anything.
 
 All verbs are keyword-only past the instance name, so call sites read as
-declarations.  Engine options (``kernel``, ``layout``, ``scan_cache_size``,
-``shards`` and the ``shard_*`` family) are never named here: every verb
-forwards ``**engine`` to :class:`~repro.core.instance.InstanceConfig`, which
-alone declares, defaults and validates them — a misspelt option is its
-``TypeError``.
+declarations.  Engine options (``kernel``, ``layout``, ``scan_cache_size``)
+are never named here: every verb forwards ``**engine`` to
+:class:`~repro.core.instance.InstanceConfig`, which alone declares,
+defaults and validates them — a misspelt option is its ``TypeError``.
 """
 
 from __future__ import annotations
@@ -162,10 +161,6 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
     ) -> "DPIServiceInstance | None":
         """Tear down an instance and drop its registry metrics.
 
-        The instance's scan engine is shut down so external resources
-        (shared-memory arenas, worker pools) are released immediately
-        rather than at garbage collection — churn must not leak.
-
         Raises ``KeyError(f"no instance named {name}")`` for an unknown
         name unless ``missing_ok=True`` (then returns None) — the same
         contract :meth:`DPIController.migrate_flow` follows for missing
@@ -178,13 +173,6 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
             raise KeyError(f"no instance named {name}")
         self._chain_filter.pop(name, None)
         self._dedicated.pop(name, None)
-        # Shut the engine down before touching telemetry: the instance is
-        # already popped from the registry, so if the metric drop raised
-        # first there would be no owner left to release the engine's
-        # arenas and worker pools.
-        automaton = getattr(instance, "automaton", None)
-        if automaton is not None and hasattr(automaton, "shutdown"):
-            automaton.shutdown()
         self._controller.telemetry.registry.drop(instance=name)
         return instance
 

@@ -15,17 +15,9 @@ The :class:`VirtualScanner` ties together:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from repro.core.combined import CombinedAutomaton
 from repro.core.flow_table import FlowTable
-
-#: Canonical per-middlebox match order: (position, pattern id).  Monolithic
-#: kernels already emit this order (one accepting state per position, match
-#: entries pattern-sorted within it), but a sharded automaton can split
-#: same-position accepts across shards, whose raw merge cannot interleave
-#: them — so the scanner canonicalizes after resolution.
-_MATCH_ORDER = itemgetter(1, 0)
 
 
 @dataclass(frozen=True)
@@ -61,7 +53,9 @@ class ScanResult:
     position is the end offset of the match — within the packet for stateless
     middleboxes (``cnt``) and within the flow for stateful ones
     (``cnt + offset``), exactly as the paper specifies for what is sent along
-    with the pattern identifier.
+    with the pattern identifier.  Each list is in (position, pattern id)
+    order: every kernel emits one accepting state per position, in position
+    order, and a state's match entry is pattern-sorted.
     """
 
     matches: dict = field(default_factory=dict)
@@ -261,9 +255,6 @@ class VirtualScanner:
                             continue
                         position = cnt
                     matches[middlebox_id].append((pattern_id, position))
-            for match_list in matches.values():
-                if len(match_list) > 1:
-                    match_list.sort(key=_MATCH_ORDER)
 
         if any_stateful and flow_key is not None:
             self.flow_table.update(

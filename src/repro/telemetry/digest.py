@@ -4,11 +4,11 @@
 function of the workload — metric values, trace spans, the fault timeline —
 while excluding the few quantities that depend on the wall clock rather
 than the simulator clock: any metric whose name carries a ``seconds`` or
-``latency`` component (scan-time counters, latency histograms, shard
-merge-time histograms) and span attributes with a ``_seconds`` suffix
-(``elapsed_seconds`` on inspect spans).  Two same-seed runs of a scenario
-must produce identical digests; the determinism regression tests are
-written against exactly this function.
+``latency`` component (scan-time counters, latency histograms) and span
+attributes with a ``_seconds`` suffix (``elapsed_seconds`` on inspect
+spans).  Two same-seed runs of a scenario must produce identical digests;
+the determinism regression tests are written against exactly this
+function.
 """
 
 from __future__ import annotations
@@ -20,17 +20,9 @@ import json
 #: excluded from the digest (token match on ``_``-separated name parts).
 TIMING_TOKENS = frozenset({"seconds", "latency"})
 
-#: Tokens naming execution-backend internals (arena occupancy, descriptor
-#: queues, copy-avoidance accounting).  These describe *how* a scan ran,
-#: not what the workload produced — backend choice must not move the
-#: digest, exactly like wall-clock timings.
-BACKEND_TOKENS = frozenset({"arena", "descriptor", "copy"})
 
-_EXCLUDED_TOKENS = TIMING_TOKENS | BACKEND_TOKENS
-
-
-def _is_excluded_metric(name: str, excluded: frozenset) -> bool:
-    return not excluded.isdisjoint(name.split("_"))
+def _is_excluded_metric(name: str) -> bool:
+    return not TIMING_TOKENS.isdisjoint(name.split("_"))
 
 
 def _clean_attributes(attributes: dict) -> dict:
@@ -41,19 +33,12 @@ def _clean_attributes(attributes: dict) -> dict:
     }
 
 
-def digest_material(hub, *, extra_exclude_tokens=frozenset()) -> dict:
-    """The JSON-friendly material the digest is computed over.
-
-    ``extra_exclude_tokens`` widens the exclusion set for comparisons that
-    must hold across *structurally* different engines — the adversarial
-    differential harness drops ``shard``-token metrics so a monolithic and
-    a sharded leg can be compared on what the workload produced.
-    """
-    excluded = _EXCLUDED_TOKENS | frozenset(extra_exclude_tokens)
+def digest_material(hub) -> dict:
+    """The JSON-friendly material the digest is computed over."""
     metrics = []
     for metric in hub.registry.collect():
         payload = dict(metric.as_dict())
-        if _is_excluded_metric(payload["name"], excluded):
+        if _is_excluded_metric(payload["name"]):
             continue
         metrics.append(payload)
     spans = []
@@ -76,11 +61,9 @@ def digest_material(hub, *, extra_exclude_tokens=frozenset()) -> dict:
     return {"metrics": metrics, "spans": spans, "faults": faults}
 
 
-def deterministic_digest(hub, *, extra_exclude_tokens=frozenset()) -> str:
+def deterministic_digest(hub) -> str:
     """SHA-256 over the hub's workload-determined telemetry."""
     payload = json.dumps(
-        digest_material(hub, extra_exclude_tokens=extra_exclude_tokens),
-        sort_keys=True,
-        default=str,
+        digest_material(hub), sort_keys=True, default=str
     ).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

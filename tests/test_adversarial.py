@@ -3,7 +3,7 @@
 The checked-in ``tests/corpus/regression.json`` is a permanent gate —
 every case in it pins either a previously-fixed divergence (reassembly
 overflow crash, ambiguous-overlap resolution, truncated gzip) or a
-minimized generated case, and every kernel×backend leg must stay in
+minimized generated case, and every kernel leg must stay in
 bit-for-bit agreement on it forever.
 """
 
@@ -95,27 +95,16 @@ class TestCaseValidation:
 
 
 class TestLegs:
-    def test_default_legs_cover_every_kernel_and_backend(self):
+    def test_default_legs_cover_every_kernel(self):
         legs = default_legs()
-        names = {leg.name for leg in legs}
-        assert len(names) == len(legs) == 12
-        monolithic = [leg for leg in legs if not leg.shards]
-        sharded = [leg for leg in legs if leg.shards]
-        assert {leg.kernel for leg in monolithic} == {
-            "reference", "flat", "regex",
-        }
-        assert {leg.shard_kernel for leg in sharded} == {
-            "reference", "flat", "regex",
-        }
-        assert {leg.backend for leg in sharded} == {
-            "serial", "process", "zerocopy",
-        }
+        assert [leg.name for leg in legs] == [
+            "mono-reference", "mono-flat", "mono-regex",
+        ]
+        assert [leg.kernel for leg in legs] == ["reference", "flat", "regex"]
 
     def test_legs_by_name_preserves_request_order(self):
-        legs = legs_by_name(["shard-flat-serial", "mono-regex"])
-        assert [leg.name for leg in legs] == [
-            "shard-flat-serial", "mono-regex",
-        ]
+        legs = legs_by_name(["mono-regex", "mono-reference"])
+        assert [leg.name for leg in legs] == ["mono-regex", "mono-reference"]
 
     def test_legs_by_name_rejects_unknown(self):
         with pytest.raises(ValueError, match="nonesuch"):
@@ -147,9 +136,9 @@ class TestRegressionCorpusGate:
         assert report.divergences == []
         assert report.ok
         assert report.cases == len(Corpus.load(CORPUS_PATH).cases)
-        # The anomaly consumer rides every leg: all twelve kernel×backend
-        # combinations must observe byte-identical match metadata, i.e.
-        # one distinct flow-feature digest across legs.
+        # The anomaly consumer rides every leg: all three kernels must
+        # observe byte-identical match metadata, i.e. one distinct
+        # flow-feature digest across legs.
         assert len(report.anomaly_digests) == len(report.legs)
         assert len(set(report.anomaly_digests.values())) == 1
 
@@ -220,7 +209,7 @@ class TestDifferentialReporting:
             record = real_replay(
                 instance, case, overflow_counter=overflow_counter, **kwargs
             )
-            if instance.config.kernel == "sharded":
+            if instance.config.kernel == "regex":
                 record["records"] = record["records"] + [{"extra": True}]
             return record
 
@@ -228,7 +217,7 @@ class TestDifferentialReporting:
             differential_module, "replay_case", skewed_replay
         )
         report = run_differential(
-            corpus, legs=legs_by_name(["mono-flat", "shard-flat-serial"])
+            corpus, legs=legs_by_name(["mono-flat", "mono-regex"])
         )
         assert not report.ok
         assert any(
@@ -237,7 +226,7 @@ class TestDifferentialReporting:
         )
         payload = report.to_dict()
         assert payload["ok"] is False
-        assert payload["divergences"][0]["leg"] == "shard-flat-serial"
+        assert payload["divergences"][0]["leg"] == "mono-regex"
         assert payload["divergences"][0]["baseline"] == "mono-flat"
 
     def test_digest_mismatch_is_reported(self, monkeypatch):
@@ -246,7 +235,7 @@ class TestDifferentialReporting:
         monkeypatch.setattr(
             differential_module,
             "deterministic_digest",
-            lambda hub, *, extra_exclude_tokens=frozenset(): next(digests),
+            lambda hub: next(digests),
         )
         report = run_differential(
             corpus, legs=legs_by_name(["mono-flat", "mono-reference"])
@@ -265,7 +254,7 @@ class TestDifferentialReporting:
         real_replay = differential_module.replay_case
 
         def crashing_replay(instance, case, overflow_counter=None, **kwargs):
-            if instance.config.kernel == "sharded":
+            if instance.config.kernel == "regex":
                 raise RuntimeError("engine exploded")
             return real_replay(
                 instance, case, overflow_counter=overflow_counter, **kwargs
@@ -275,12 +264,12 @@ class TestDifferentialReporting:
             differential_module, "replay_case", crashing_replay
         )
         report = run_differential(
-            corpus, legs=legs_by_name(["mono-flat", "shard-flat-serial"])
+            corpus, legs=legs_by_name(["mono-flat", "mono-regex"])
         )
         assert not report.ok
         assert report.errors
         leg, _case, message = report.errors[0]
-        assert leg == "shard-flat-serial"
+        assert leg == "mono-regex"
         assert "engine exploded" in message
 
 
@@ -290,7 +279,7 @@ class TestFuzzDiffCLI:
             [
                 "fuzz-diff",
                 "--corpus", str(CORPUS_PATH),
-                "--legs", "mono-reference", "shard-flat-serial",
+                "--legs", "mono-reference", "mono-regex",
             ]
         )
         out = capsys.readouterr().out

@@ -233,169 +233,30 @@ class TestScenarioValidation:
             run_chaos_scenario(CRASH_ONLY_PLAN, scenario="figure6")
 
 
-def shutdown_instances(result):
-    """Drain every instance's shard pool (failover replacements included)."""
-    for instance in result.dpi_controller.instances.values():
-        instance.automaton.shutdown()
+ENGINE = {"kernel": "regex", "scan_cache_size": 8}
 
 
-class TestShardedChaos:
-    """Sharded instances under faults: crash drains the pool, pool
-    failure falls back to serial, and the fault timeline records it."""
+def engine_options_of(instance):
+    return {name: getattr(instance.config, name) for name in ENGINE}
 
-    def test_sharded_process_instance_survives_crash_restart(self):
-        result = run_chaos_scenario(
-            CRASH_RESTART_PLAN,
-            packets=40,
-            kernel="sharded",
-            shards=4,
-            shard_backend="process",
-        )
+
+class TestEngineOptionsUnderChaos:
+    """Engine options ride through crash, restart and failover."""
+
+    def test_restarted_instance_keeps_engine_options(self):
+        result = run_chaos_scenario(CRASH_RESTART_PLAN, packets=40, **ENGINE)
         assert result.ok
         instance = result.dpi_controller.instances["dpi3"]
-        assert instance.config.kernel == "sharded"
-        assert instance.config.shards == 4
-        shutdown_instances(result)
+        assert instance.restarts == 1
+        assert engine_options_of(instance) == ENGINE
+        assert instance.automaton.kernel_name == "regex"
 
-    def test_crash_mid_scan_drains_pool_without_orphans(self):
-        import multiprocessing
-
-        result = run_chaos_scenario(
-            CRASH_ONLY_PLAN,
-            packets=40,
-            kernel="sharded",
-            shards=2,
-            shard_backend="process",
-        )
-        # The failover replacement inherits the sharded config; only its
-        # own pool may be alive — the crashed instance's pool is drained.
+    def test_failover_replacement_inherits_engine_options(self):
+        result = run_chaos_scenario(CRASH_ONLY_PLAN, packets=40, **ENGINE)
         failover = result.dpi_controller.instances["dpi3-failover"]
-        assert failover.config.kernel == "sharded"
-        assert failover.config.shard_backend == "process"
-        shutdown_instances(result)
-        assert multiprocessing.active_children() == []
+        assert engine_options_of(failover) == ENGINE
 
-    def test_pool_failure_mid_run_recorded_in_fault_timeline(self):
-        import multiprocessing
-
-        result = run_chaos_scenario(
-            CRASH_RESTART_PLAN,
-            packets=30,
-            kernel="sharded",
-            shards=2,
-            shard_backend="process",
-        )
-        instance = result.dpi_controller.instances["dpi3"]
-        # Sabotage the live pool, then push one more scan through: the
-        # kernel must drain it, fall back to serial, and record the fault.
-        # The chain id the instance keys on is the DPI hop's tag, not the
-        # TSA chain id; pick the one serving ids1 (middlebox 1), whose
-        # signature the probe payload carries.
-        chain_id = next(
-            cid
-            for cid, middleboxes in sorted(instance.scanner.chain_map.items())
-            if 1 in middleboxes
-        )
-        pool = instance.automaton._kernel._backend._pool
-        if pool is None:  # restart rebuilt the automaton; warm a pool up
-            instance.inspect(b"warm the pool", chain_id=chain_id)
-            pool = instance.automaton._kernel._backend._pool
-        pool.terminate()
-        pool.join()
-        output = instance.inspect(b"carrying chain-one-threat now", chain_id=chain_id)
-        assert output.has_matches
-        assert instance.automaton.active_backend_name == "serial"
-        assert instance.automaton.pool_fallbacks == 1
-        events = [
-            (event.kind, event.phase, event.target)
-            for event in result.hub.faults
-        ]
-        assert ("shard_pool_failure", "recover", "dpi3") in events
-        shutdown_instances(result)
-        assert multiprocessing.active_children() == []
-
-    def test_zerocopy_pool_failure_drains_to_serial_with_clean_arena(self):
-        import multiprocessing
-        import os
-
-        result = run_chaos_scenario(
-            CRASH_RESTART_PLAN,
-            packets=30,
-            kernel="sharded",
-            shards=2,
-            shard_backend="zerocopy",
-            shard_workers=2,
-        )
-        assert result.ok
-        instance = result.dpi_controller.instances["dpi3"]
-        assert instance.config.shard_backend == "zerocopy"
-        assert instance.config.shard_workers == 2
-        chain_id = next(
-            cid
-            for cid, middleboxes in sorted(instance.scanner.chain_map.items())
-            if 1 in middleboxes
-        )
-        probe = b"carrying chain-one-threat now"
-        # The serial-backend twin provides the zero-lost/zero-duplicated
-        # expectation for the post-failure scan.
-        baseline = run_chaos_scenario(
-            CRASH_RESTART_PLAN, packets=30, kernel="sharded", shards=2
-        )
-        expected = baseline.dpi_controller.instances["dpi3"].inspect(
-            probe, chain_id=chain_id
-        )
-        backend = instance.automaton._kernel._backend
-        if backend._state is None:  # restart rebuilt the automaton
-            instance.inspect(b"warm the arena up", chain_id=chain_id)
-            backend = instance.automaton._kernel._backend
-        arena = backend.arena_name
-        assert arena is not None
-        # Kill every arena worker mid-run, then push one more scan
-        # through: the kernel must drain the arena (unlinking the shared
-        # memory), fall back to serial, and lose nothing.
-        for process in backend._state.processes:
-            process.terminate()
-            process.join()
-        output = instance.inspect(probe, chain_id=chain_id)
-        assert output.matches == expected.matches
-        assert output.report.encode() == expected.report.encode()
-        assert instance.automaton.active_backend_name == "serial"
-        assert instance.automaton.pool_fallbacks == 1
-        assert not os.path.exists(f"/dev/shm/{arena}")
-        events = [
-            (event.kind, event.phase, event.target)
-            for event in result.hub.faults
-        ]
-        assert ("shard_pool_failure", "recover", "dpi3") in events
-        shutdown_instances(result)
-        shutdown_instances(baseline)
-        assert multiprocessing.active_children() == []
-
-    def test_zerocopy_failover_replacement_inherits_arena_config(self):
-        import multiprocessing
-
-        result = run_chaos_scenario(
-            CRASH_ONLY_PLAN,
-            packets=40,
-            kernel="sharded",
-            shards=2,
-            shard_backend="zerocopy",
-            shard_workers=1,
-        )
-        failover = result.dpi_controller.instances["dpi3-failover"]
-        assert failover.config.kernel == "sharded"
-        assert failover.config.shard_backend == "zerocopy"
-        assert failover.config.shard_workers == 1
-        # The crashed instance drained its own arena; after shutting the
-        # replacement down too, no worker or segment survives.
-        shutdown_instances(result)
-        assert multiprocessing.active_children() == []
-
-    def test_sharded_serial_digest_matches_repeat_run(self):
-        first = run_chaos_scenario(
-            CRASH_RESTART_PLAN, packets=40, kernel="sharded", shards=4
-        )
-        second = run_chaos_scenario(
-            CRASH_RESTART_PLAN, packets=40, kernel="sharded", shards=4
-        )
+    def test_regex_cached_digest_matches_repeat_run(self):
+        first = run_chaos_scenario(CRASH_RESTART_PLAN, packets=40, **ENGINE)
+        second = run_chaos_scenario(CRASH_RESTART_PLAN, packets=40, **ENGINE)
         assert first.digest == second.digest

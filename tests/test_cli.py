@@ -179,19 +179,10 @@ class TestKernelCommands:
         "argv",
         [
             ["report", "--packets", "5", "--cache-size", "-1"],
-            ["report", "--packets", "5", "--kernel", "flat", "--shards", "2"],
-            ["chaos", "figure5", "--plan", "PLAN", "--kernel", "flat",
-             "--shards", "2"],
-            ["chaos", "figure5", "--plan", "PLAN", "--kernel", "sharded",
-             "--shards", "2", "--shard-workers", "-1"],
             ["scan", "--patterns", "PATS", "--trace", "TRACE",
              "--engine", "combined", "--cache-size", "-1"],
         ],
-        ids=[
-            "report-negative-cache", "report-shards-without-sharded",
-            "chaos-shards-without-sharded", "chaos-negative-workers",
-            "scan-negative-cache",
-        ],
+        ids=["report-negative-cache", "scan-negative-cache"],
     )
     def test_engine_config_errors_exit_2_with_one_line(
         self, tmp_path, capsys, argv
@@ -207,6 +198,30 @@ class TestKernelCommands:
         assert "Traceback" not in captured.err
         (line,) = captured.err.splitlines()
         assert line.startswith("repro-dpi: error: ")
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--patterns", "p.txt", "--trace", "t.rtrc",
+             "--engine", "combined", "--kernel", "sharded"],
+            ["report", "--packets", "5", "--kernel", "sharded"],
+            ["chaos", "figure5", "--plan", "plan.json", "--kernel", "sharded"],
+            ["scan", "--patterns", "p.txt", "--trace", "t.rtrc", "--shards", "2"],
+        ],
+        ids=["scan", "report", "chaos", "scan-shards-flag"],
+    )
+    def test_removed_sharded_kernel_is_a_usage_error(self, capsys, argv):
+        """Pattern-sharding is gone (PR 24): argparse rejects its kernel
+        name and flags with one usage error, exit 2, no traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith("repro-dpi")
+        assert "error:" in captured.err
         assert captured.out == ""
 
 

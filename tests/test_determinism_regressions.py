@@ -79,58 +79,33 @@ def test_direct_chain_with_all_addresses_constructs():
     assert function.direct_chains == {100, 116}
 
 
-class TestShardedMergeDeterminism:
-    """Two same-seed figure-5 runs with ``--kernel sharded --shards 4``
-    must produce bit-identical telemetry digests.
+class TestFigure5Digest:
+    """Two same-seed figure-5 runs must produce bit-identical telemetry
+    digests, whichever kernel scans.
 
-    The sharded kernel merges per-shard results and (with the process
-    backend) crosses process boundaries; nothing about that may leak into
-    the workload-determined telemetry.  ``deterministic_digest`` hashes
-    every metric, span and fault event that is a pure function of the
-    workload — a drifting merge order or shard numbering changes it.
+    ``deterministic_digest`` hashes every metric, span and fault event
+    that is a pure function of the workload.
     """
 
-    def run_digest(self, backend="serial"):
-        from repro.telemetry.digest import deterministic_digest
+    def run(self, kernel):
         from repro.telemetry.scenario import run_figure5_scenario
 
-        result = run_figure5_scenario(
-            packets=24,
-            seed=7,
-            kernel="sharded",
-            shards=4,
-            shard_backend=backend,
+        return run_figure5_scenario(
+            packets=24, seed=7, kernel=kernel, scan_cache_size=16
         )
-        digest = deterministic_digest(result.hub)
-        result.instance.automaton.shutdown()
-        return digest
 
-    def test_same_seed_runs_digest_identically(self):
-        assert self.run_digest() == self.run_digest()
+    @pytest.mark.parametrize("kernel", ["flat", "regex"])
+    def test_same_seed_runs_digest_identically(self, kernel):
+        from repro.telemetry.digest import deterministic_digest
 
-    def test_process_backend_digests_like_serial(self):
-        """Backend choice is an execution detail: the digest (which
-        excludes wall-clock quantities) must not see it."""
-        assert self.run_digest("process") == self.run_digest("serial")
+        first, second = self.run(kernel), self.run(kernel)
+        assert deterministic_digest(first.hub) == deterministic_digest(second.hub)
 
-    def test_zerocopy_backend_digests_like_serial(self):
-        """The shared-memory arena backend (and its extra gauges, which
-        the digest excludes as backend internals) digests identically."""
-        assert self.run_digest("zerocopy") == self.run_digest("serial")
-
-    def test_sharded_digest_is_stable_across_shard_counts_for_matches(self):
-        """Match-derived metrics agree between shard counts; the full
-        digest differs only through the per-shard counter labels."""
-        from repro.telemetry.scenario import run_figure5_scenario
-
+    def test_match_metrics_agree_between_kernels(self):
         def match_total(result):
             (counter,) = result.hub.registry.collect_named(
                 "dpi_matches_total"
             )
             return counter.value
 
-        two = run_figure5_scenario(packets=24, kernel="sharded", shards=2)
-        six = run_figure5_scenario(packets=24, kernel="sharded", shards=6)
-        assert match_total(two) == match_total(six)
-        two.instance.automaton.shutdown()
-        six.instance.automaton.shutdown()
+        assert match_total(self.run("flat")) == match_total(self.run("regex"))

@@ -79,6 +79,22 @@ class TestInstanceManagerMapping:
             is None
         )
 
+    def test_decommission_pops_before_a_raising_drop(self):
+        controller = make_controller()
+        controller.instances.provision("dpi-1")
+        registry = controller.telemetry.registry
+
+        def exploding_drop(**labels):
+            raise RuntimeError("registry backend unavailable")
+
+        registry.drop = exploding_drop
+        try:
+            with pytest.raises(RuntimeError, match="registry backend"):
+                controller.instances.decommission("dpi-1")
+        finally:
+            del registry.drop
+        assert "dpi-1" not in controller.instances
+
     def test_dedicated_metadata(self):
         controller = make_controller()
         controller.instances.provision("dpi-1")
@@ -108,20 +124,11 @@ class TestDeprecationShims:
             controller.instances.decommission("dpi-1")
 
 
-SHARDED_CACHED = {
-    "kernel": "sharded",
-    "layout": "full",
-    "scan_cache_size": 16,
-    "shards": 2,
-    "shard_backend": "zerocopy",
-    "shard_kernel": "regex",
-    "shard_workers": 1,
-    "shard_pipelined": True,
-}
+REGEX_CACHED = {"kernel": "regex", "layout": "full", "scan_cache_size": 16}
 
 
 def engine_options_of(instance):
-    return {name: getattr(instance.config, name) for name in SHARDED_CACHED}
+    return {name: getattr(instance.config, name) for name in REGEX_CACHED}
 
 
 class TestEngineOptionForwarding:
@@ -138,20 +145,42 @@ class TestEngineOptionForwarding:
         with pytest.raises(TypeError, match="kernal"):
             controller.instances.plan_groups(max_groups=1, kernal="flat")
 
+    def test_removed_sharding_options_are_rejected(self):
+        """Pattern-sharding is gone (PR 24): its kernel name is an unknown
+        kernel and its options are unknown keywords."""
+        from repro.core.kernels import KERNEL_NAMES, EngineConfigError
+
+        assert KERNEL_NAMES == ("reference", "flat", "regex")
+        controller = make_controller()
+        with pytest.raises(EngineConfigError) as error:
+            controller.instances.build_config(kernel="sharded")
+        for name in KERNEL_NAMES:
+            assert repr(name) in str(error.value)
+        with pytest.raises(TypeError, match="shards"):
+            controller.instances.provision("x", shards=2)
+        assert "x" not in controller.instances
+
+    def test_instance_config_has_exactly_three_engine_options(self):
+        import dataclasses
+
+        from repro.core.instance import InstanceConfig
+
+        assert [field.name for field in dataclasses.fields(InstanceConfig)] == [
+            "pattern_sets", "profiles", "chain_map",
+            "layout", "kernel", "scan_cache_size",
+        ]
+
     def test_refresh_preserves_every_engine_option(self):
         controller = make_controller()
-        instance = controller.instances.provision("dpi-1", **SHARDED_CACHED)
-        try:
-            controller.handle_message(
-                AddPatternsMessage(1, [Pattern(1, b"new-sig")])
-            )
-            controller.instances.refresh()
-            assert len(instance.config.pattern_sets[1]) == 2
-            assert engine_options_of(instance) == SHARDED_CACHED
-            output = instance.inspect(b"a new-sig", chain_id=CHAIN)
-            assert output.matches == {1: [(1, 9)]}
-        finally:
-            controller.instances.decommission("dpi-1")
+        instance = controller.instances.provision("dpi-1", **REGEX_CACHED)
+        controller.handle_message(
+            AddPatternsMessage(1, [Pattern(1, b"new-sig")])
+        )
+        controller.instances.refresh()
+        assert len(instance.config.pattern_sets[1]) == 2
+        assert engine_options_of(instance) == REGEX_CACHED
+        output = instance.inspect(b"a new-sig", chain_id=CHAIN)
+        assert output.matches == {1: [(1, 9)]}
 
     def test_plan_groups_forwards_engine_options(self):
         controller = make_controller()
@@ -166,7 +195,7 @@ class TestEngineOptionForwarding:
         from repro.telemetry.scenario import build_figure5_system
 
         system = build_figure5_system(
-            extra_hosts={"standby": "s3"}, **SHARDED_CACHED
+            extra_hosts={"standby": "s3"}, **REGEX_CACHED
         )
         coordinator = FailoverCoordinator(
             system.dpi_controller,
@@ -175,19 +204,14 @@ class TestEngineOptionForwarding:
             instance_hosts={"dpi3": "dpi3"},
             dpi_functions={"dpi3": system.dpi_function},
             spare_hosts=["standby"],
-            provision_kwargs=SHARDED_CACHED,
+            provision_kwargs=REGEX_CACHED,
         )
-        instances = system.dpi_controller.instances
-        try:
-            system.instance.crash()
-            record = coordinator.handle_instance_down("dpi3")
-            assert record.mode == "provision"
-            replacement = instances[record.replacement]
-            assert engine_options_of(replacement) == SHARDED_CACHED
-            assert engine_options_of(system.instance) == SHARDED_CACHED
-        finally:
-            for name in list(instances):
-                instances.decommission(name)
+        system.instance.crash()
+        record = coordinator.handle_instance_down("dpi3")
+        assert record.mode == "provision"
+        replacement = system.dpi_controller.instances[record.replacement]
+        assert engine_options_of(replacement) == REGEX_CACHED
+        assert engine_options_of(system.instance) == REGEX_CACHED
 
 
 class TestTelemetrySnapshot:
@@ -302,50 +326,3 @@ class TestMigrateFlowContract:
         assert controller.migrate_flow("f1", "dpi-1", "dpi-2") is True
         assert source.export_flow("f1") is None
         assert target.export_flow("f1") is not None
-
-
-class TestDecommissionOrdering:
-    def test_engine_shuts_down_before_metrics_drop(self):
-        """Regression: decommission used to drop the instance's registry
-        metrics first, so a raise in the drop left the popped instance's
-        engine (arenas, worker pools) running with no owner to release
-        it.  The engine shutdown must come first."""
-        controller = make_controller()
-        instance = controller.instances.provision("dpi-1")
-        order = []
-        # The default engine (CombinedAutomaton) has no shutdown;
-        # decommission probes with hasattr, so a recorder stands in for a
-        # backend-owning engine such as ShardedAutomaton.
-        instance.automaton.shutdown = lambda: order.append("shutdown")
-        registry = controller.telemetry.registry
-        real_drop = registry.drop
-
-        def recording_drop(**labels):
-            order.append("drop")
-            return real_drop(**labels)
-
-        registry.drop = recording_drop
-        try:
-            controller.instances.decommission("dpi-1")
-        finally:
-            del registry.drop
-        assert order == ["shutdown", "drop"]
-
-    def test_engine_is_down_even_when_the_metrics_drop_raises(self):
-        controller = make_controller()
-        instance = controller.instances.provision("dpi-1")
-        shut = []
-        instance.automaton.shutdown = lambda: shut.append(True)
-        registry = controller.telemetry.registry
-
-        def exploding_drop(**labels):
-            raise RuntimeError("registry backend unavailable")
-
-        registry.drop = exploding_drop
-        try:
-            with pytest.raises(RuntimeError, match="registry backend"):
-                controller.instances.decommission("dpi-1")
-        finally:
-            del registry.drop
-        assert shut == [True]
-        assert "dpi-1" not in controller.instances

@@ -3,28 +3,16 @@
 The elastic autoscaler cycles instances far more aggressively than the
 static topologies earlier tests exercise, so this suite hammers the
 :class:`~repro.core.lifecycle.InstanceManager` facade directly: repeated
-provision/decommission rounds (including zero-copy sharded instances that
-own ``/dev/shm`` arenas and worker processes) while traffic keeps
-flowing, asserting that no instance object, registry label, shared-memory
-segment, or child process outlives its decommission.
+provision/decommission rounds while traffic keeps flowing, asserting that
+no instance object or registry label outlives its decommission.
 """
-
-import glob
-import multiprocessing
-import os
 
 import pytest
 
-from repro.core.zerocopy import ARENA_NAME_PREFIX
 from repro.load.driver import build_load_controller
 from repro.load.generator import LoadGenerator
 from repro.load.profiles import LoadSpec
 from repro.telemetry import TelemetryHub
-
-
-def shm_segments() -> list:
-    """Live /dev/shm arenas created by this process (pid-scoped names)."""
-    return glob.glob(f"/dev/shm/{ARENA_NAME_PREFIX}_{os.getpid()}_*")
 
 
 def fresh_controller():
@@ -40,12 +28,7 @@ def traffic(flows=200, epochs=1, seed=5):
     return [batch.items for batch in generator.batches()]
 
 
-ZEROCOPY_KWARGS = dict(
-    kernel="sharded",
-    shards=2,
-    shard_backend="zerocopy",
-    shard_workers=1,
-)
+REGEX_CACHED = dict(kernel="regex", scan_cache_size=8)
 
 
 class TestFlatChurn:
@@ -86,39 +69,13 @@ class TestFlatChurn:
         assert sorted(controller.instances) == sorted(survivors)
 
 
-class TestZeroCopyChurn:
-    def test_decommission_releases_arena_and_workers(self):
-        controller = fresh_controller()
-        instance = controller.instances.provision("zc-1", **ZEROCOPY_KWARGS)
-        batch = traffic()[0]
-        for flow_id, chain_id, payload, _ in batch[:40]:
-            instance.inspect(payload, chain_id=chain_id, flow_key=flow_id)
-        assert len(shm_segments()) == 1
-        controller.instances.decommission("zc-1")
-        assert shm_segments() == []
-        assert multiprocessing.active_children() == []
-
-    def test_churn_cycles_under_load_do_not_leak(self):
-        controller = fresh_controller()
-        batch = traffic()[0]
-        for round_number in range(4):
-            name = f"zc-churn-{round_number}"
-            instance = controller.instances.provision(
-                name, **ZEROCOPY_KWARGS
-            )
-            for flow_id, chain_id, payload, _ in batch[:30]:
-                instance.inspect(payload, chain_id=chain_id, flow_key=flow_id)
-            assert shm_segments() != []
-            controller.instances.decommission(name)
-            assert shm_segments() == [], f"leak after round {round_number}"
-        assert multiprocessing.active_children() == []
-
+class TestRegexCachedChurn:
     def test_dedicated_instances_churn_cleanly_too(self):
         controller = fresh_controller()
         batch = traffic()[0]
-        name = "zc-iso"
+        name = "iso"
         instance = controller.instances.provision(
-            name, chain_ids=(200,), dedicated=True, **ZEROCOPY_KWARGS
+            name, chain_ids=(200,), dedicated=True, **REGEX_CACHED
         )
         assert controller.instances.is_dedicated(name)
         flood = [item for item in batch if item[1] == 200]
@@ -126,24 +83,21 @@ class TestZeroCopyChurn:
             instance.inspect(payload, chain_id=chain_id, flow_key=flow_id)
         controller.instances.decommission(name)
         assert not controller.instances.is_dedicated(name)
-        assert shm_segments() == []
-        assert multiprocessing.active_children() == []
 
     def test_crash_then_decommission_is_idempotent(self):
         controller = fresh_controller()
-        instance = controller.instances.provision("zc-2", **ZEROCOPY_KWARGS)
-        instance.inspect(b"warm up the arena", chain_id=100, flow_key=1)
+        instance = controller.instances.provision("dpi-2", **REGEX_CACHED)
+        instance.inspect(b"warm up the cache", chain_id=100, flow_key=1)
         instance.crash()
-        assert shm_segments() == []
         # Decommissioning an already-crashed instance must not raise or
-        # resurrect the worker pool.
-        controller.instances.decommission("zc-2")
-        assert shm_segments() == []
-        assert multiprocessing.active_children() == []
+        # bring it back.
+        controller.instances.decommission("dpi-2")
+        assert "dpi-2" not in controller.instances
+        assert not instance.alive
 
 
 class TestAutoscalerChurn:
-    def test_scale_cycle_with_zerocopy_instances_leaves_no_residue(self):
+    def test_scale_cycle_leaves_no_residue(self):
         from repro.autoscale import Autoscaler, ThresholdPolicy
         from repro.autoscale.controller import (
             LOAD_OFFERED_BYTES,
@@ -152,7 +106,7 @@ class TestAutoscalerChurn:
         )
 
         controller = fresh_controller()
-        controller.instances.provision("dpi-1", **ZEROCOPY_KWARGS)
+        controller.instances.provision("dpi-1", **REGEX_CACHED)
         autoscaler = Autoscaler(
             controller,
             rate_bytes_per_second=100_000.0,
@@ -160,7 +114,7 @@ class TestAutoscalerChurn:
             slo_seconds=0.05,
             policies=[ThresholdPolicy()],
             max_instances=3,
-            provision_kwargs=dict(ZEROCOPY_KWARGS),
+            provision_kwargs=dict(REGEX_CACHED),
         )
         registry = controller.telemetry.registry
 
@@ -178,18 +132,15 @@ class TestAutoscalerChurn:
         up = autoscaler.tick(epoch=0)
         assert [event.action for event in up] == ["up"]
         added = up[0].instance
-        controller.instances[added].inspect(b"an arena-backed scan", chain_id=100)
-        assert shm_segments() != []
+        controller.instances[added].inspect(b"a scan on the new one", chain_id=100)
+        assert controller.instances[added].config.kernel == "regex"
+        assert controller.instances[added].config.scan_cache_size == 8
         feed(added, 0.0001)
         down = autoscaler.tick(epoch=1)
         assert [event.action for event in down] == ["down"]
         assert down[0].instance == added
-        # Scale-down of a zero-copy instance releases its arena...
         controller.instances["dpi-1"].inspect(b"still serving", chain_id=100)
-        controller.instances.decommission("dpi-1")
-        # ...and after the survivor goes too, nothing is left anywhere.
-        assert shm_segments() == []
-        assert multiprocessing.active_children() == []
+        assert sorted(controller.instances) == ["dpi-1"]
         for metric in registry.collect():
             assert metric.labels.get("instance") != added
 

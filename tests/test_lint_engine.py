@@ -61,41 +61,6 @@ BAD_FIXTURES = {
         "def schedule(event):\n"
         "    event.at = stamp()\n"
     ),
-    "RES001": (
-        "from multiprocessing import shared_memory\n"
-        "def provision(nbytes, publish):\n"
-        "    segment = shared_memory.SharedMemory(create=True, size=nbytes)\n"
-        "    publish(segment.name)\n"
-        "    return segment.name\n"
-    ),
-    "RES002": (
-        "import multiprocessing\n"
-        "class Runner:\n"
-        "    def boot(self):\n"
-        "        self.pool = multiprocessing.Pool(2)\n"
-        "    def submit(self, work):\n"
-        "        return self.pool.apply(work)\n"
-    ),
-    "CON001": (
-        "import threading\n"
-        "import multiprocessing\n"
-        "def boot(fn):\n"
-        "    guard = threading.Lock()\n"
-        "    worker = multiprocessing.Process(target=fn)\n"
-        "    worker.start()\n"
-        "    worker.join()\n"
-        "    return guard\n"
-    ),
-    "CON002": (
-        "import multiprocessing\n"
-        "def drain(items):\n"
-        "    queue = multiprocessing.Queue()\n"
-        "    for item in items:\n"
-        "        queue.put(item)\n"
-        "    queue.close()\n"
-        "    queue.put(None)\n"
-        "    queue.join_thread()\n"
-    ),
     "NOQ001": "x = 1  # repro: noqa[DET001]\n",
 }
 
@@ -452,7 +417,7 @@ def test_noq001_skipped_when_named_rules_did_not_run():
     selected = [
         cls()
         for code, cls in registry.items()
-        if code.startswith(("RES", "NOQ"))
+        if code.startswith(("API", "NOQ"))
     ]
     engine = LintEngine(selected)
     # DET001 did not run, so the comment cannot be judged...
@@ -462,7 +427,7 @@ def test_noq001_skipped_when_named_rules_did_not_run():
     assert findings == []
     # ...but a suppression naming only selected codes still is.
     findings = engine.lint_source(
-        "x = 1  # repro: noqa[RES001]\n", path=SIM_PATH
+        "x = 1  # repro: noqa[API001]\n", path=SIM_PATH
     )
     assert codes(findings) == ["NOQ001"]
     # Blanket suppressions are only auditable on full-catalog runs.
@@ -557,3 +522,41 @@ def test_src_repro_is_lint_clean():
     findings = lint_paths([REPO_ROOT / "src" / "repro"])
     rendered = "\n".join(f.render() for f in findings)
     assert findings == [], f"src/repro has lint findings:\n{rendered}"
+
+
+#: Modules that hand out operating-system resources (processes, threads,
+#: shared-memory segments).  The RES/CON rule families that watched their
+#: use left with the only code that used them.
+OS_RESOURCE_MODULES = (
+    "multiprocessing", "threading", "concurrent.futures", "subprocess",
+)
+
+
+def test_src_repro_imports_no_os_resource_modules():
+    import ast
+
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            for name in names:
+                if name.startswith(OS_RESOURCE_MODULES) or "shared_memory" in name:
+                    offenders.append(
+                        f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {name}"
+                    )
+    assert offenders == [], (
+        "src/repro is single-process and single-threaded; these imports "
+        "bring OS resources back:\n  " + "\n  ".join(offenders) + "\n"
+        "Restore the lint rules that guard them in the same change — "
+        "RES001/RES002, CON001/CON002 and the CFG/dataflow layer under "
+        "them were last present at b5c3ae5: "
+        "`git show b5c3ae5:src/repro/analysis/rules/resources.py` "
+        "(also rules/concurrency.py, cfg.py, dataflow.py, baseline.py)."
+    )

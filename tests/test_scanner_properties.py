@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.combined import CombinedAutomaton
+from repro.core.kernels import KERNEL_NAMES
 from repro.core.patterns import Pattern
 from repro.core.scanner import MiddleboxProfile, VirtualScanner
 
@@ -111,3 +112,49 @@ def test_stopping_condition_prunes_exactly_deep_matches(patterns, stream, stop):
     got = set(bounded.scan_packet(stream, CHAIN).matches_for(0))
     full = set(unbounded.scan_packet(stream, CHAIN).matches_for(0))
     assert got == {(pid, pos) for pid, pos in full if pos <= stop}
+
+
+# Streams for the ordering property: patterns embedded in lowercase filler
+# no pattern uses, so the regex kernel's anchors are sparse enough to stay
+# on its prefilter path as well as dense enough (short fillers) to bail.
+filler = st.binary(min_size=0, max_size=12).map(
+    lambda raw: bytes(b % 26 + 0x61 for b in raw)
+)
+
+
+@given(
+    patterns=pattern_list,
+    ids=st.permutations(range(6)),
+    chunks=st.lists(st.one_of(pattern, filler), max_size=12),
+    cuts=cut_list,
+    kernel=st.sampled_from(KERNEL_NAMES),
+    stop=st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_match_lists_come_out_in_position_then_pattern_order(
+    patterns, ids, chunks, cuts, kernel, stop
+):
+    """Every per-middlebox list ``scan_packet`` returns is already ordered
+    by (position, pattern id) — one accepting state per position, entries
+    pattern-sorted within it — on every kernel, for stateless, stateful and
+    stopping-condition profiles, alone and sharing a chain.  The scanner
+    relies on this: it does not sort."""
+    owned = [Pattern(ids[i], p) for i, p in enumerate(patterns)]
+    automaton = CombinedAutomaton(
+        {0: owned, 1: owned, 2: owned, 3: owned}, kernel=kernel
+    )
+    profiles = {
+        0: MiddleboxProfile(0),
+        1: MiddleboxProfile(1, stopping_condition=stop),
+        2: MiddleboxProfile(2, stateful=True),
+        3: MiddleboxProfile(3, stateful=True, stopping_condition=stop),
+    }
+    chains = {1: (0,), 2: (1,), 3: (2,), 4: (3,), 5: (0, 1, 2, 3)}
+    scanner = VirtualScanner(automaton, profiles, chains)
+    for packet in packetize_at(b"".join(chunks), cuts):
+        for chain_id in chains:
+            result = scanner.scan_packet(packet, chain_id, flow_key=chain_id)
+            for middlebox_id, matches in result.matches.items():
+                assert matches == sorted(
+                    matches, key=lambda match: (match[1], match[0])
+                ), (kernel, chain_id, middlebox_id)
