@@ -142,19 +142,6 @@ def _suppression_records(path: str, source: str) -> dict[int, SuppressionRecord]
     return records
 
 
-def _suppressed_codes(source: str) -> dict[int, frozenset[str] | None]:
-    """``{line number: codes}`` for every noqa comment; None = blanket.
-
-    Kept for callers that only need the mapping (tests, tools); the
-    engine itself tracks full :class:`SuppressionRecord` objects so
-    NOQ001 can audit usage.
-    """
-    return {
-        line: record.codes
-        for line, record in _suppression_records("<string>", source).items()
-    }
-
-
 class LintEngine:
     """Runs a set of rules over source files, modules or trees."""
 
@@ -173,13 +160,6 @@ class LintEngine:
     def lint_source(self, source: str, path: str = "<string>") -> list[Finding]:
         """Lint one module's source text."""
         return self._run([(path, source)])
-
-    def lint_file(self, path: str | Path) -> list[Finding]:
-        """Lint one file on disk."""
-        file_path = Path(path)
-        return self._run(
-            [(str(file_path), file_path.read_text(encoding="utf-8"))]
-        )
 
     def lint_paths(self, paths: Iterable[str | Path]) -> list[Finding]:
         """Lint files and directory trees (``*.py``, sorted for stability).

@@ -119,11 +119,6 @@ _ACC_LEN = _HIST + len(SIZE_BIN_BOUNDS) + 1
 assert _ACC_LEN == 15
 
 
-def _bin_of(size: int) -> int:
-    # bisect_left on the bounds tuple == first bin whose bound >= size.
-    return bisect_left(SIZE_BIN_BOUNDS, size)
-
-
 def _std(sq_sum: float, total: float, count: int) -> float:
     if count <= 0:
         return 0.0

@@ -169,12 +169,6 @@ class CombinedAutomaton:
         """``(middlebox id, pattern id)`` pairs for an accepting state."""
         return self._match[accept_state]
 
-    def match_entry_with_lengths(self, accept_state: int) -> tuple:
-        """Pairs zipped with their pattern lengths (for stateless pruning)."""
-        return tuple(
-            zip(self._match[accept_state], self._accept_lengths[accept_state])
-        )
-
     def bitmap_of_state(self, accept_state: int) -> int:
         """The middlebox bitmap stored at an accepting state."""
         return self._bitmaps[accept_state]

@@ -441,8 +441,3 @@ class RegexNFA:
         for _ in self.iter_match_ends(data):
             return True
         return False
-
-    def finditer_ends(self, data: bytes) -> list[tuple[int, int]]:
-        """``(pattern placeholder, end)`` pairs in the match-list shape the
-        DPI service reports (pattern id is filled in by the caller)."""
-        return [(0, end) for end in self.iter_match_ends(data)]

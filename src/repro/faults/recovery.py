@@ -357,6 +357,7 @@ class FailoverCoordinator:
                     # Scanned locally; deliver straight to the destination
                     # over the untagged host routes.
                     packet.vlan_stack.clear()
+                    packet.length_memo = None
                     function.host.send(packet)
         record.mode = "degrade"
         record.degraded_hosts = tuple(degraded)

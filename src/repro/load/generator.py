@@ -271,12 +271,6 @@ class LoadGenerator:
         packed = self._profile_of[flow_id]
         return self.profiles[packed & (self._HEAVY_BIT - 1)].name
 
-    def is_heavy(self, flow_id: int) -> bool:
-        """True when a spawned flow was marked a heavy hitter."""
-        if not 0 <= flow_id < len(self._profile_of):
-            raise KeyError(f"flow {flow_id} was never spawned")
-        return bool(self._profile_of[flow_id] & self._HEAVY_BIT)
-
 
 def profile_of_chain(chain_id: int) -> str:
     """Reverse lookup: chain id -> profile name (driver/report helper)."""

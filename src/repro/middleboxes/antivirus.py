@@ -38,10 +38,6 @@ class AntiVirus(DPIServiceMiddlebox):
             rule_id, signature, action=Action.DROP, description=description
         )
 
-    def is_quarantined(self, flow_key) -> bool:
-        """True if the flow is currently quarantined."""
-        return flow_key in self.quarantined_flows
-
     def release(self, flow_key) -> bool:
         """Lift a quarantine (e.g. after operator review)."""
         if flow_key in self.quarantined_flows:

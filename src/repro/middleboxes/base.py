@@ -389,6 +389,7 @@ class NSHChainFunction(NetworkFunction):
             return []
         if self.strip and packet.nsh is not None:
             packet.nsh = None
+            packet.length_memo = None
             packet.clear_match_mark()
         return [packet]
 

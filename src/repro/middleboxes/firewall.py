@@ -102,11 +102,3 @@ class L7Firewall(DPIServiceMiddlebox):
         self.add_literal_rule(
             rule_id, literal, action=Action.DROP, description=description
         )
-
-    def add_block_regex(
-        self, rule_id: int, regex: bytes, description: str = ""
-    ) -> None:
-        """A DROP rule for a payload regular expression."""
-        self.add_regex_rule(
-            rule_id, regex, action=Action.DROP, description=description
-        )

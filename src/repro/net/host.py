@@ -72,6 +72,8 @@ class Host:
         self.ip = ip
         self._link: Link | None = None
         self.stats = HostStats()
+        # Lazily bound telemetry (the hub may attach after construction).
+        self._hub = self._m_origin_packets = self._m_origin_bytes = None
         self.function = function if function is not None else RecordingFunction()
         self.function.attach(self)
 
@@ -99,15 +101,21 @@ class Host:
         if self._link is None:
             raise RuntimeError(f"{self.name}: host has no link")
         self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.wire_length
+        self.stats.bytes_sent += packet.hop_length()
         hub = self._simulator.telemetry
         if hub is not None and packet.trace is None and not packet.is_result_packet:
             # First transmission of a data packet: this host is its origin.
-            registry = hub.registry
-            registry.counter("host_packets_origin_total", host=self.name).inc()
-            registry.counter(
-                "host_payload_bytes_origin_total", host=self.name
-            ).inc(len(packet.payload))
+            if hub is not self._hub:
+                self._hub = hub
+                registry = hub.registry
+                self._m_origin_packets = registry.counter(
+                    "host_packets_origin_total", host=self.name
+                )
+                self._m_origin_bytes = registry.counter(
+                    "host_payload_bytes_origin_total", host=self.name
+                )
+            self._m_origin_packets.inc()
+            self._m_origin_bytes.inc(len(packet.payload))
             tracer = hub.tracer
             if tracer is not None:
                 span = tracer.record(
@@ -126,7 +134,7 @@ class Host:
     def receive(self, packet: Packet, port: int) -> None:
         """Deliver a packet to the host's network function."""
         self.stats.packets_received += 1
-        self.stats.bytes_received += packet.wire_length
+        self.stats.bytes_received += packet.hop_length()
         hub = self._simulator.telemetry
         if (
             hub is not None

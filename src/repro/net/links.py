@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from typing import Any
 
 from repro.net.packet import Packet
 from repro.net.simulator import Simulator
@@ -33,8 +35,18 @@ class LinkStats:
         }
 
 
+class LinkNotAttachedError(RuntimeError):
+    """A link was used before :meth:`Link.attach` gave it two endpoints."""
+
+
 class _Direction:
-    """One direction of a full-duplex link."""
+    """One direction of a full-duplex link.
+
+    The wire is busy until ``_free_at``.  A send onto an idle wire with an
+    empty queue transmits at once and schedules only its ``link-arrive``
+    event; a backlog schedules one ``link-free`` drain event at
+    ``_free_at``, which re-arms itself until the queue is empty.
+    """
 
     def __init__(
         self,
@@ -48,15 +60,17 @@ class _Direction:
         self._propagation_delay = propagation_delay
         self._queue: deque[Packet] = deque()
         self._queue_capacity = queue_capacity
-        self._busy = False
+        self._free_at = 0.0
+        self._draining = False
         self.stats = LinkStats()
-        self.deliver = None  # set by Link.attach
+        self.deliver: Any = None  # set by Link.attach
         self.label = None  # set by Link.attach
         # Lazily bound telemetry (the hub may attach after construction).
         self._hub = None
         self._m_packets = None
         self._m_bytes = None
         self._m_drops = None
+        simulator.on_reset(self._rewind)
 
     def _bind_telemetry(self, hub) -> None:
         self._hub = hub
@@ -79,42 +93,54 @@ class _Direction:
             self._m_drops.inc()
 
     def send(self, packet: Packet) -> bool:
-        """Enqueue *packet*; returns False if it was tail-dropped."""
-        hub = self._simulator.telemetry
+        """Transmit or enqueue *packet*; returns False if it was tail-dropped."""
+        simulator = self._simulator
+        hub = simulator.telemetry
         if hub is not None and hub is not self._hub:
             self._bind_telemetry(hub)
-        if len(self._queue) >= self._queue_capacity:
-            self.stats.packets_dropped += 1
-            if self._m_drops is not None:
-                self._m_drops.inc()
+        queue = self._queue
+        if len(queue) >= self._queue_capacity:
+            self.drop()
             return False
-        self._queue.append(packet)
-        if not self._busy:
-            self._transmit_next()
+        if not queue and simulator.now >= self._free_at:
+            self._transmit(packet)
+            return True
+        queue.append(packet)
+        if not self._draining:
+            self._draining = True
+            simulator.schedule_at(self._free_at, self._drain, label="link-free")
         return True
 
-    def _transmit_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        packet = self._queue.popleft()
-        transmit_time = packet.wire_length * 8 / self._bandwidth_bps
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.wire_length
+    def _drain(self) -> None:
+        queue = self._queue
+        self._transmit(queue.popleft())
+        if queue:
+            self._simulator.schedule_at(self._free_at, self._drain, label="link-free")
+        else:
+            self._draining = False
+
+    def _rewind(self) -> None:
+        """The simulator was reset: its clock restarts at zero."""
+        self._free_at = 0.0
+        if self._queue:  # still draining, but the drain event is gone
+            self._simulator.schedule(0.0, self._drain, label="link-free")
+
+    def _transmit(self, packet: Packet) -> None:
+        simulator = self._simulator
+        length = packet.hop_length()
+        transmit_time = length * 8 / self._bandwidth_bps
+        self._free_at = simulator.now + transmit_time
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += length
         if self._m_packets is not None:
             self._m_packets.inc()
-            self._m_bytes.inc(packet.wire_length)
-
-        def arrive() -> None:
-            """Deliver the packet to the receiving endpoint."""
-            if self.deliver is not None:
-                self.deliver(packet)
-
-        self._simulator.schedule(
-            transmit_time + self._propagation_delay, arrive, label="link-arrive"
+            self._m_bytes.inc(length)
+        simulator.schedule(
+            transmit_time + self._propagation_delay,
+            partial(self.deliver, packet),
+            label="link-arrive",
         )
-        self._simulator.schedule(transmit_time, self._transmit_next, label="link-free")
 
 
 class Link:
@@ -176,8 +202,8 @@ class Link:
 
     def send_from(self, node, packet: Packet) -> bool:
         """Send *packet* out of the link from *node*'s side."""
-        if self._endpoint_a is None or self._endpoint_b is None:
-            raise RuntimeError("link is not attached")
+        if self._endpoint_a is None:
+            raise LinkNotAttachedError("link is not attached")
         if node is self._endpoint_a[0]:
             direction = self._forward
         elif node is self._endpoint_b[0]:
@@ -191,6 +217,8 @@ class Link:
 
     def stats_from(self, node) -> LinkStats:
         """Transmission counters for the direction leaving *node*."""
+        if self._endpoint_a is None:
+            raise LinkNotAttachedError("link is not attached")
         if node is self._endpoint_a[0]:
             return self._forward.stats
         if node is self._endpoint_b[0]:

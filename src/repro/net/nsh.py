@@ -39,6 +39,7 @@ def attach_nsh_results(
         service_index=255,
         metadata=report.encode(),
     )
+    packet.length_memo = None
 
 
 def extract_nsh_results(packet: Packet) -> MatchReport | None:
@@ -52,6 +53,7 @@ def strip_nsh(packet: Packet) -> None:
     """Remove the metadata layer (done by the last DPI-aware middlebox so
     legacy hops and the destination see the original packet)."""
     packet.nsh = None
+    packet.length_memo = None
 
 
 def encode_tag_results(packet: Packet, report: MatchReport) -> int:
@@ -119,6 +121,7 @@ def build_result_packet(data_packet: Packet, report: MatchReport) -> Packet:
     result = data_packet.copy()
     result.packet_id = allocate_packet_id()
     result.payload = report.encode()
+    result.length_memo = None
     result.describes_packet_id = data_packet.packet_id
     result.clear_match_mark()
     return result

@@ -242,6 +242,6 @@ class FlowTable:
         for entry in self._entries:
             if entry.match.matches(packet, in_port):
                 entry.packets_matched += 1
-                entry.bytes_matched += packet.wire_length
+                entry.bytes_matched += packet.hop_length()
                 return entry
         return None

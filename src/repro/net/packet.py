@@ -157,7 +157,7 @@ class NSHContext:
         return self.BASE_WIRE_LENGTH + len(self.metadata)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A simulated packet.
 
@@ -181,6 +181,12 @@ class Packet:
     # origin host.  Copies and result packets inherit it so one trace
     # follows the packet end-to-end; excluded from equality.
     trace: tuple | None = field(default=None, compare=False, repr=False)
+    # ``wire_length`` as the data path last computed it (see
+    # :meth:`hop_length`).  Whatever changes the length — a tag stack, the
+    # NSH layer, the payload — resets it to None.
+    length_memo: int | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def is_result_packet(self) -> bool:
@@ -202,16 +208,26 @@ class Packet:
             length += self.nsh.wire_length
         return length
 
+    def hop_length(self) -> int:
+        """``wire_length``, memoized until the length changes, so the switch
+        table, the link and the host counters along a hop share one count."""
+        length = self.length_memo
+        if length is None:
+            length = self.length_memo = self.wire_length
+        return length
+
     # --- tag manipulation (OpenFlow push/pop actions) -------------------
 
     def push_vlan(self, tag: VlanTag) -> None:
         """Push a VLAN tag onto the stack."""
         self.vlan_stack.append(tag)
+        self.length_memo = None
 
     def pop_vlan(self) -> VlanTag:
         """Pop the outer VLAN tag; raises on an empty stack."""
         if not self.vlan_stack:
             raise IndexError("pop from empty VLAN stack")
+        self.length_memo = None
         return self.vlan_stack.pop()
 
     @property
@@ -222,11 +238,13 @@ class Packet:
     def push_mpls(self, label: MplsLabel) -> None:
         """Push an MPLS label onto the stack."""
         self.mpls_stack.append(label)
+        self.length_memo = None
 
     def pop_mpls(self) -> MplsLabel:
         """Pop the outer MPLS label; raises on an empty stack."""
         if not self.mpls_stack:
             raise IndexError("pop from empty MPLS stack")
+        self.length_memo = None
         return self.mpls_stack.pop()
 
     @property
@@ -258,18 +276,13 @@ class Packet:
 
     def copy(self) -> "Packet":
         """A deep-enough copy: header stacks are copied, payload is shared."""
-        return Packet(
-            eth=self.eth,
-            ip=self.ip,
-            l4=self.l4,
-            payload=self.payload,
-            vlan_stack=list(self.vlan_stack),
-            mpls_stack=list(self.mpls_stack),
-            nsh=self.nsh,
-            packet_id=self.packet_id,
-            describes_packet_id=self.describes_packet_id,
-            trace=self.trace,
+        clone = Packet(
+            self.eth, self.ip, self.l4, self.payload,
+            self.vlan_stack.copy(), self.mpls_stack.copy(), self.nsh,
+            self.packet_id, self.describes_packet_id, self.trace,
         )
+        clone.length_memo = self.length_memo
+        return clone
 
     def __repr__(self) -> str:
         kind = "result" if self.is_result_packet else "data"

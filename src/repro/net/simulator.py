@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
     """A scheduled callback; comparison order drives the event queue."""
 
@@ -33,6 +34,7 @@ class Simulator:
         self._now = 0.0
         self._events_processed = 0
         self._running = False
+        self._reset_hooks: list[Callable[[], None]] = []
         #: The attached :class:`~repro.telemetry.TelemetryHub`, or None.
         #: Data-plane components read it lazily, so telemetry can be
         #: attached after the topology is built.
@@ -73,24 +75,24 @@ class Simulator:
         """Schedule *callback* to run *delay* seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past: delay={delay}")
-        event = Event(
-            time=self._now + delay,
-            sequence=next(self._sequence),
-            callback=callback,
-            label=label,
-        )
+        event = Event(self._now + delay, next(self._sequence), callback, label)
         heapq.heappush(self._queue, event)
         return event
 
     def schedule_at(
         self, time: float, callback: Callable[[], None], label: str = ""
     ) -> Event:
-        """Schedule *callback* at absolute simulated *time*."""
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule in the past: time={time} < now={self._now}"
-            )
-        return self.schedule(time - self._now, callback, label)
+        """Schedule *callback* at absolute simulated *time*, exactly: the
+        event fires with ``now == time``, not one rounding step off."""
+        now = self._now
+        if time < now:
+            raise ValueError(f"cannot schedule in the past: time={time} < now={now}")
+        delay = time - now
+        while now + delay < time:
+            delay = math.nextafter(delay, math.inf)
+        while now + delay > time:
+            delay = math.nextafter(delay, -math.inf)
+        return self.schedule(delay, callback, label)
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event: it stays queued but will not run.
@@ -106,15 +108,19 @@ class Simulator:
         """Process events until the queue drains, *until* passes, or
         *max_events* events have run.  Returns the number of events run."""
         processed = 0
+        queue = self._queue
+        pop = heapq.heappop
+        limit = math.inf if max_events is None else max_events
+        horizon = math.inf if until is None else until
         self._running = True
         try:
-            while self._queue:
-                if max_events is not None and processed >= max_events:
+            while queue:
+                if processed >= limit:
                     break
-                if until is not None and self._queue[0].time > until:
+                if queue[0].time > horizon:
                     self._now = until
                     break
-                event = heapq.heappop(self._queue)
+                event = pop(queue)
                 if event.cancelled:
                     continue
                 self._now = event.time
@@ -125,6 +131,11 @@ class Simulator:
             self._running = False
         return processed
 
+    def on_reset(self, hook: Callable[[], None]) -> None:
+        """Call *hook* after every :meth:`reset` (for state that holds
+        absolute simulated times or waits on a pending event)."""
+        self._reset_hooks.append(hook)
+
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""
         if self._running:
@@ -132,3 +143,5 @@ class Simulator:
         self._queue.clear()
         self._now = 0.0
         self._events_processed = 0
+        for hook in self._reset_hooks:
+            hook()

@@ -8,7 +8,7 @@ forwards the packet to its controller (packet-in), which may install rules
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.links import Link
 from repro.net.openflow import ActionType, FlowEntry, FlowTable
@@ -24,8 +24,6 @@ class SwitchStats:
     packets_flooded: int = 0
     packets_dropped: int = 0
     table_misses: int = 0
-    per_port_rx: dict = field(default_factory=dict)
-    per_port_tx: dict = field(default_factory=dict)
 
 
 class Switch:
@@ -68,7 +66,6 @@ class Switch:
     def receive(self, packet: Packet, in_port: int) -> None:
         """Handle a packet arriving on *in_port*."""
         self.stats.packets_received += 1
-        self.stats.per_port_rx[in_port] = self.stats.per_port_rx.get(in_port, 0) + 1
         hub = self._simulator.telemetry
         if hub is not None:
             if hub is not self._hub:
@@ -82,14 +79,15 @@ class Switch:
                 )
             self._m_packets.inc()
             tracer = hub.tracer
-            if tracer is not None and packet.trace is not None and packet.trace[0]:
-                tag = packet.outer_vlan
+            trace = packet.trace
+            if tracer is not None and trace is not None and trace[0]:
+                tags = packet.vlan_stack
                 tracer.record(
                     "hop",
-                    parent=packet.trace,
+                    parent=trace,
                     switch=self.name,
                     port=in_port,
-                    vid=tag.vid if tag is not None else None,
+                    vid=tags[-1].vid if tags else None,
                 )
         entry = self.table.lookup(packet, in_port)
         if entry is None:
@@ -101,10 +99,6 @@ class Switch:
             else:
                 self.stats.packets_dropped += 1
             return
-        self.apply_actions(packet, entry, in_port)
-
-    def apply_actions(self, packet: Packet, entry: FlowEntry, in_port: int) -> None:
-        """Execute an entry's action list on *packet*."""
         self.execute(packet, entry.actions, in_port)
 
     def execute(self, packet: Packet, actions, in_port: int) -> None:
@@ -135,7 +129,6 @@ class Switch:
             self.stats.packets_dropped += 1
             return
         self.stats.packets_forwarded += 1
-        self.stats.per_port_tx[port] = self.stats.per_port_tx.get(port, 0) + 1
         link.send_from(self, packet.copy())
 
     def _flood(self, packet: Packet, in_port: int) -> None:
@@ -143,7 +136,6 @@ class Switch:
         for port, link in self._ports.items():
             if port == in_port:
                 continue
-            self.stats.per_port_tx[port] = self.stats.per_port_tx.get(port, 0) + 1
             link.send_from(self, packet.copy())
 
     # --- control plane -----------------------------------------------------

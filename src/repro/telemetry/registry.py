@@ -112,10 +112,6 @@ class Gauge:
         """Add *amount* to the stored value."""
         self._value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        """Subtract *amount* from the stored value."""
-        self._value -= amount
-
     @property
     def value(self) -> float:
         """The current value (evaluates the callback when bound)."""

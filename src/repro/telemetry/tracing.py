@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 DEFAULT_MAX_SPANS = 10_000
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceSpan:
     """One operation within a trace."""
 
@@ -46,10 +46,6 @@ class TraceSpan:
         """Span duration, or None while unfinished."""
         return None if self.end is None else self.end - self.start
 
-    def finish(self, at: float) -> None:
-        """Close the span at time *at*."""
-        self.end = at
-
     def as_dict(self) -> dict:
         """A plain-dict rendering (for the JSONL exporter)."""
         return {
@@ -61,16 +57,6 @@ class TraceSpan:
             "end": self.end,
             "attributes": dict(self.attributes),
         }
-
-
-def _parent_context(parent) -> tuple:
-    """Normalize a parent (TraceSpan, (trace, span) tuple, or None)."""
-    if parent is None:
-        return (None, None)
-    if isinstance(parent, TraceSpan):
-        return (parent.trace_id, parent.span_id)
-    trace_id, span_id = parent
-    return (trace_id, span_id)
 
 
 class Tracer:
@@ -86,19 +72,19 @@ class Tracer:
         return self._clock()
 
     def start_span(self, name: str, parent=None, at=None, **attributes) -> TraceSpan:
-        """Open a span (a new root trace when *parent* is None)."""
-        trace_id, parent_id = _parent_context(parent)
+        """Open a span under *parent* — a ``(trace id, span id)`` tuple, a
+        :class:`TraceSpan`, or None for the root of a new trace."""
         span_id = next(self._ids)
+        if type(parent) is tuple:  # a packet's trace context: the hot path
+            trace_id, parent_id = parent
+        elif isinstance(parent, TraceSpan):
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        else:
+            trace_id, parent_id = (None, None) if parent is None else parent
         if trace_id is None:
             trace_id = span_id
-        span = TraceSpan(
-            name=name,
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_id=parent_id,
-            start=self.now() if at is None else at,
-            attributes=attributes,
-        )
+        start = self._clock() if at is None else at
+        span = TraceSpan(name, trace_id, span_id, parent_id, start, None, attributes)
         self.spans.append(span)
         return span
 
@@ -119,13 +105,6 @@ class Tracer:
     def trace(self, trace_id: int) -> list:
         """Every retained span of one trace, in recording order."""
         return [span for span in self.spans if span.trace_id == trace_id]
-
-    def trace_ids(self) -> list:
-        """Distinct trace ids among retained spans, in first-seen order."""
-        seen: dict = {}
-        for span in self.spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
 
     def children_of(self, span: TraceSpan) -> list:
         """The retained spans whose parent is *span*."""

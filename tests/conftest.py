@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.patterns import Pattern
+from repro.net.packet import Packet
 from repro.workloads.patterns import generate_snort_like
 from repro.workloads.traffic import TrafficGenerator
 
@@ -33,6 +34,21 @@ def http_trace(snort_like_small):
     """A small HTTP-like trace with some injected matches."""
     generator = TrafficGenerator(seed=5, style="http")
     return generator.trace(80, patterns=snort_like_small, match_rate=0.15)
+
+
+@pytest.fixture
+def checked_length_memo(monkeypatch):
+    """Every ``Packet.hop_length`` read must agree with a fresh
+    ``wire_length``: a header change that forgets to reset ``length_memo``
+    fails the test that drives it."""
+    memoized = Packet.hop_length
+
+    def checked(packet):
+        length = memoized(packet)
+        assert length == packet.wire_length, packet
+        return length
+
+    monkeypatch.setattr(Packet, "hop_length", checked)
 
 
 def naive_find_all(patterns, text):

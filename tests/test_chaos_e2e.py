@@ -18,6 +18,9 @@ from repro.faults import (
     run_chaos_scenario,
 )
 
+# Every wire length read on these paths is checked against a fresh one.
+pytestmark = pytest.mark.usefixtures("checked_length_memo")
+
 CRASH_RESTART_PLAN = FaultPlan.of(
     [
         FaultSpec(0.2, FaultKind.INSTANCE_CRASH, "dpi3"),

@@ -17,6 +17,9 @@ from repro.net.addresses import IPv4Address, MACAddress
 from repro.net.nsh import build_result_packet
 from repro.net.packet import make_tcp_packet
 
+# Every wire length read on these paths is checked against a fresh one.
+pytestmark = pytest.mark.usefixtures("checked_length_memo")
+
 
 def make_packet(payload=b"data", src_port=1000):
     return make_tcp_packet(

@@ -539,6 +539,23 @@ class TestFailoverCoordinator:
         assert ids1._pending_data == {}
         assert ids1.packets_rescanned >= 1
 
+    def test_degrade_sends_released_packets_untagged(self, checked_length_memo):
+        from repro.net.packet import VlanTag
+
+        system, _, coordinator, _ = _recovery_rig()
+        ids1 = system.middlebox_functions["ids1"]
+        data = _packet(payload=b"held back")
+        data.push_vlan(VlanTag(vid=100))
+        data.hop_length()  # as the receiving host left it
+        data.mark_matched()
+        assert ids1.process(data) == []
+        system.instance.crash()
+        coordinator.handle_instance_down("dpi3")
+        # Stripping the chain tag shortens the packet: the length the host
+        # and link count must be the untagged one.
+        assert data.vlan_stack == []
+        assert data.hop_length() == data.wire_length
+
     def test_degraded_chain_drops_dpi_hop(self):
         system, _, coordinator, _ = _recovery_rig()
         system.instance.crash()

@@ -28,6 +28,9 @@ from repro.net.steering import (
 )
 from repro.net.topology import Topology
 
+# Every wire length read on these paths is checked against a fresh one.
+pytestmark = pytest.mark.usefixtures("checked_length_memo")
+
 IDS1_SIG = b"chain-one-threat"
 IDS2_SIG = b"chain-two-threat"
 AV_SIG = b"chain-two-virus!"

@@ -53,6 +53,14 @@ class TestNSHMode:
         assert packet.nsh is None
         assert packet.wire_length < length_with
 
+    def test_attach_and_strip_reset_the_length_memo(self, checked_length_memo):
+        packet = make_packet()
+        bare = packet.hop_length()
+        attach_nsh_results(packet, sample_report(), service_path=1)
+        assert packet.hop_length() > bare
+        strip_nsh(packet)
+        assert packet.hop_length() == bare
+
 
 class TestTagMode:
     def test_round_trip_small_report(self):

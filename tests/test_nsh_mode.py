@@ -22,6 +22,9 @@ from repro.net.steering import (
 )
 from repro.net.topology import build_paper_topology
 
+# Every wire length read on these paths is checked against a fresh one.
+pytestmark = pytest.mark.usefixtures("checked_length_memo")
+
 SIGNATURE = b"GET /cgi-bin/exploit"
 VIRUS = b"VIRUS-BODY-MARKER"
 

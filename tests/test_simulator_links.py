@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.addresses import IPv4Address, MACAddress
-from repro.net.links import Link
+from repro.net.links import Link, LinkNotAttachedError
 from repro.net.packet import make_tcp_packet
 from repro.net.simulator import Simulator
 
@@ -172,6 +172,15 @@ class TestLink:
         link = Link(Simulator())
         with pytest.raises(RuntimeError):
             link.send_from(_Sink(), make_packet())
+
+    def test_unattached_link_send_is_a_typed_error(self):
+        with pytest.raises(LinkNotAttachedError, match="not attached"):
+            Link(Simulator()).send_from(_Sink(), make_packet())
+
+    def test_unattached_link_stats_is_a_typed_error(self):
+        # Used to be "TypeError: 'NoneType' object is not subscriptable".
+        with pytest.raises(LinkNotAttachedError, match="not attached"):
+            Link(Simulator()).stats_from(_Sink())
 
     def test_foreign_node_rejected(self):
         sim = Simulator()

@@ -14,6 +14,9 @@ from repro.telemetry.export import export_jsonl, prometheus_text
 from repro.telemetry.report import render_report
 from repro.telemetry.scenario import run_figure5_scenario
 
+# Every wire length read on these paths is checked against a fresh one.
+pytestmark = pytest.mark.usefixtures("checked_length_memo")
+
 PACKETS = 30
 
 
