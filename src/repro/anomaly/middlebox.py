@@ -10,8 +10,8 @@ not rule verdicts.  Every observation is one packet's scan metadata
 is the whole "scan once, serve many consumers" point.
 
 Telemetry is aggregate-only by design: observation/flag counters and a
-tracked-flows gauge, never per-flow labels (the registry's cardinality
-lint would rightly reject a million-flow label space).
+tracked-flows gauge, never per-flow labels (a million-flow label space
+would grow the registry with traffic, which the cardinality tests forbid).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.anomaly.features import (
 from repro.middleboxes.base import Action, DPIServiceMiddlebox
 from repro.net.packet import Packet
 
-#: Metric names this consumer publishes (aggregates only — see TEL001).
+#: Metric names this consumer publishes (aggregates only — no per-flow labels).
 ANOMALY_OBSERVATIONS = "anomaly_observations_total"
 ANOMALY_FLAGGED = "anomaly_flows_flagged_total"
 ANOMALY_TRACKED = "anomaly_flows_tracked"

@@ -167,42 +167,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis import (
-        LintEngine,
-        default_rules,
-        render_json,
-        render_text,
-    )
-
-    paths = list(args.paths)
-    if args.self_check:
-        import repro
-
-        paths.append(str(Path(repro.__file__).parent))
-    if not paths:
-        print("lint: no paths given (pass paths or --self)", file=sys.stderr)
-        return 2
-    rules = default_rules()
-    if args.select:
-        prefixes = tuple(
-            prefix.strip()
-            for prefix in args.select.split(",")
-            if prefix.strip()
-        )
-        rules = [rule for rule in rules if rule.code.startswith(prefixes)]
-        if not rules:
-            print(
-                f"lint: --select {args.select!r} matches no registered rule",
-                file=sys.stderr,
-            )
-            return 2
-    findings = LintEngine(rules).lint_paths(paths)
-    render = render_json if args.format == "json" else render_text
-    sys.stdout.write(render(findings))
-    return 1 if findings else 0
-
-
 #: ``repro-dpi check --inject`` faults: name -> (description, mutator).
 #: Each mutator breaks the built figure-5 scenario in one specific way so
 #: the validators (and the e2e tests) can observe a realistic failure.
@@ -265,13 +229,13 @@ CHECK_FAULTS = {
 
 
 def _cmd_check(args) -> int:
-    from repro.analysis import (
+    from repro.telemetry.scenario import run_figure5_scenario
+    from repro.validation import (
         errors_in,
         format_issues,
         render_issues_json,
         validate_scenario,
     )
-    from repro.telemetry.scenario import run_figure5_scenario
 
     # packets=0 builds and realizes the whole system without traffic —
     # validation is purely static, so no packet ever needs to flow.
@@ -284,25 +248,15 @@ def _cmd_check(args) -> int:
         controller=result.dpi_controller,
     )
     if args.load_spec:
-        import json
-
-        from repro.analysis.validators import validate_load_spec
-        from repro.load.profiles import RAMP_KINDS, profile_vocabulary
-
         try:
-            with open(args.load_spec) as handle:
-                document = json.load(handle)
+            _, spec_issues = _read_load_spec(args.load_spec)
         except (OSError, ValueError) as error:
             print(
                 f"check: cannot load spec {args.load_spec}: {error}",
                 file=sys.stderr,
             )
             return 2
-        issues = issues + validate_load_spec(
-            document,
-            profile_names=profile_vocabulary(),
-            ramp_kinds=RAMP_KINDS,
-        )
+        issues = issues + spec_issues
     if args.format == "json":
         sys.stdout.write(render_issues_json(issues))
     else:
@@ -310,18 +264,43 @@ def _cmd_check(args) -> int:
     return 1 if errors_in(issues) else 0
 
 
+def _read_load_spec(path: str):
+    """The load-spec JSON document at *path* and its LOAD0xx issues.
+
+    ``check --load-spec`` and ``load --spec`` judge the same raw document
+    with the same validator, so the two subcommands agree on every file.
+    """
+    import json
+
+    from repro.load.profiles import RAMP_KINDS, profile_vocabulary
+    from repro.validation import validate_load_spec
+
+    with open(path) as handle:
+        document = json.load(handle)
+    issues = validate_load_spec(
+        document, profile_names=profile_vocabulary(), ramp_kinds=RAMP_KINDS
+    )
+    return document, issues
+
+
 def _cmd_load(args) -> int:
     import json
 
-    from repro.analysis.validators import ValidationError, format_issues
     from repro.load.driver import run_load_scenario
     from repro.load.profiles import LoadSpec, RampSchedule
+    from repro.validation import ValidationError, errors_in, format_issues
 
     if args.spec:
         try:
-            spec = LoadSpec.load(args.spec)
+            document, issues = _read_load_spec(args.spec)
+            errors = [] if args.no_validate else errors_in(issues)
+            if not errors:
+                spec = LoadSpec.from_dict(document)
         except (OSError, ValueError, TypeError) as error:
             print(f"load: cannot load spec {args.spec}: {error}", file=sys.stderr)
+            return 2
+        if errors:
+            print(format_issues(errors), file=sys.stderr)
             return 2
     else:
         spec = LoadSpec()
@@ -755,24 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prom", help="also export a Prometheus text-format dump here"
     )
     report.set_defaults(func=_cmd_report)
-
-    lint = commands.add_parser(
-        "lint", help="run the project lint engine over Python sources"
-    )
-    lint.add_argument("paths", nargs="*", help="files or directories to lint")
-    lint.add_argument(
-        "--self",
-        dest="self_check",
-        action="store_true",
-        help="lint the installed repro package itself",
-    )
-    lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument(
-        "--select",
-        help="comma-separated rule-code prefixes to run "
-        "(e.g. DET,API001); default runs the full catalog",
-    )
-    lint.set_defaults(func=_cmd_lint)
 
     check = commands.add_parser(
         "check",

@@ -84,7 +84,7 @@ class CombinedScanResult:
 
 @runtime_checkable
 class ScanKernel(Protocol):
-    """The kernel contract (KER001 keeps implementations on it).
+    """The kernel contract (``tests/test_kernels.py`` keeps implementations on it).
 
     A kernel is constructed from a combined automaton and exposes exactly
     this surface; every implementation must produce byte-identical results

@@ -29,8 +29,8 @@ import dataclasses
 from collections.abc import Iterator, Mapping
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.analysis.validators import raise_on_errors, validate_instance_config
 from repro.core.instance import DPIServiceInstance, InstanceConfig
+from repro.validation import raise_on_errors, validate_instance_config
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.controller import DPIController
@@ -133,9 +133,9 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
 
         With ``validate=True`` (the default) the built configuration is
         statically checked
-        (:func:`repro.analysis.validators.validate_instance_config`) and
+        (:func:`repro.validation.validate_instance_config`) and
         error-grade issues raise
-        :class:`~repro.analysis.validators.ValidationError` before the
+        :class:`~repro.validation.ValidationError` before the
         instance exists.  ``dedicated=True`` marks the instance as an MCA²
         dedicated engine: the stress monitor skips it during observation
         and failover never selects it for decommissioning.  ``**engine``

@@ -183,7 +183,7 @@ class GlobalPatternRegistry:
         for key in list(self._by_key):
             entry = self._by_key[key]
             entry.referrers = {  # rebuilds a set: order-independent
-                ref for ref in entry.referrers if ref[0] != middlebox_id  # repro: noqa[DET002]
+                ref for ref in entry.referrers if ref[0] != middlebox_id
             }
             if not entry.referrers:
                 del self._by_key[key]

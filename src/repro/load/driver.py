@@ -611,7 +611,7 @@ def run_load_scenario(
 ) -> LoadRunResult:
     """Validate the spec (LOAD0xx codes), build a driver, run it."""
     if validate:
-        from repro.analysis.validators import raise_on_errors, validate_load_spec
+        from repro.validation import raise_on_errors, validate_load_spec
 
         issues = validate_load_spec(
             spec.to_dict(),

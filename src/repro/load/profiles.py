@@ -6,7 +6,7 @@ weighting over profiles — ``repro-dpi load --profile mixed`` resolves the
 mix name here.  A :class:`LoadSpec` bundles everything a run needs (mix,
 peak flow count, ramp schedule, seed, SLO, modeled per-instance service
 rate) and round-trips through JSON so scenarios can live in files and be
-validated by the ``LOAD0xx`` codes in :mod:`repro.analysis.validators`.
+validated by the ``LOAD0xx`` codes in :mod:`repro.validation`.
 
 Everything is deterministic given the spec's seed: payload pools are built
 from seeded RNGs and per-packet choices use a cheap integer mixer over
@@ -226,6 +226,8 @@ class LoadSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "LoadSpec":
+        if not isinstance(payload, Mapping):
+            raise TypeError(f"load spec must be an object: {payload!r}")
         ramp_payload = payload.get("ramp", {})
         if not isinstance(ramp_payload, Mapping):
             raise TypeError(f"ramp must be an object: {ramp_payload!r}")

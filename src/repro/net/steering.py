@@ -29,10 +29,10 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Protocol
 
-from repro.analysis.validators import raise_on_errors, validate_chains
 from repro.net.controller import SDNController
 from repro.net.openflow import ActionType, FlowAction, FlowMatch
 from repro.net.topology import Topology
+from repro.validation import raise_on_errors, validate_chains
 
 
 @dataclass
@@ -238,8 +238,8 @@ class TrafficSteeringApplication:
 
         With ``validate=True`` (the default) the chains and assignments
         are statically checked first
-        (:func:`repro.analysis.validators.validate_chains`); error-grade
-        issues raise :class:`~repro.analysis.validators.ValidationError`
+        (:func:`repro.validation.validate_chains`); error-grade
+        issues raise :class:`~repro.validation.ValidationError`
         *before* any rule is installed, so a misconfigured chain cannot
         leave a switch half-programmed.
         """

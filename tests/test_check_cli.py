@@ -1,11 +1,13 @@
-"""End-to-end CLI tests for ``repro-dpi check`` and ``repro-dpi lint``.
+"""End-to-end CLI tests for ``repro-dpi check``.
 
 These exercise the real ``main()`` entry point: exit codes, the text
 report on stdout, and the JSON document shape, including every fault
-the check command can inject into the figure-5 scenario.
+the check command can inject into the figure-5 scenario, and the
+verdict ``check --load-spec`` shares with ``load --spec``.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -73,51 +75,39 @@ def test_check_rejects_unknown_fault(capsys):
         main(["check", "figure5", "--inject", "not-a-fault"])
 
 
-# --- lint CLI ---------------------------------------------------------------
+def test_lint_subcommand_is_gone():
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lint", "--self"])
+    assert exit_info.value.code == 2
 
-BAD_MODULE = (
-    "import time\n"
-    "\n"
-    "def stamp():\n"
-    "    return time.time()\n"
+
+# --- one verdict per load-spec file -----------------------------------------
+
+#: Files ``load --spec`` once crashed on or coerced, and the code both
+#: subcommands must now reject them with.
+BAD_LOAD_SPECS = {
+    "array-root": ([1, 2], "LOAD002"),
+    "string-root": ("mixed", "LOAD002"),
+    "bool-flows": ({"flows": True}, "LOAD002"),
+    "fractional-epochs": ({"epochs": 2.9}, "LOAD003"),
+}
+
+
+@pytest.mark.parametrize(
+    "document, code", BAD_LOAD_SPECS.values(), ids=list(BAD_LOAD_SPECS)
 )
+def test_check_and_load_reject_the_same_spec(document, code, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(document))
+    assert main(["check", "figure5", "--load-spec", str(path)]) == 1
+    assert f"ERROR   {code}" in capsys.readouterr().out
+    assert main(["load", "service", "--spec", str(path)]) == 2
+    assert f"ERROR   {code}" in capsys.readouterr().err
 
 
-def write_sim_module(tmp_path, source):
-    module_dir = tmp_path / "repro" / "core"
-    module_dir.mkdir(parents=True)
-    path = module_dir / "mod.py"
-    path.write_text(source)
-    return path
-
-
-def test_lint_flags_bad_file_and_exits_one(tmp_path, capsys):
-    path = write_sim_module(tmp_path, BAD_MODULE)
-    assert main(["lint", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "DET001" in out
-    assert "1 finding(s)" in out
-
-
-def test_lint_clean_file_exits_zero(tmp_path, capsys):
-    path = write_sim_module(tmp_path, "def stamp(now):\n    return now\n")
-    assert main(["lint", str(path)]) == 0
-    assert capsys.readouterr().out == "no findings\n"
-
-
-def test_lint_json_output(tmp_path, capsys):
-    path = write_sim_module(tmp_path, BAD_MODULE)
-    assert main(["lint", str(path), "--format", "json"]) == 1
-    document = json.loads(capsys.readouterr().out)
-    assert document["findings"][0]["code"] == "DET001"
-    assert document["findings"][0]["path"].endswith("mod.py")
-
-
-def test_lint_without_paths_exits_two(capsys):
-    assert main(["lint"]) == 2
-    assert "no paths given" in capsys.readouterr().err
-
-
-def test_lint_self_is_clean(capsys):
-    assert main(["lint", "--self"]) == 0
-    assert capsys.readouterr().out == "no findings\n"
+def test_check_and_load_accept_the_example_spec(capsys):
+    path = str(Path(__file__).resolve().parents[1] / "examples" / "load_mixed.json")
+    assert main(["check", "figure5", "--load-spec", path]) == 0
+    argv = ["load", "service", "--spec", path, "--flows", "40", "--epochs", "2"]
+    assert main(argv) == 0
+    assert "digest:" in capsys.readouterr().out

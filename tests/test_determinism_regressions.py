@@ -1,4 +1,4 @@
-"""Regression tests for the set-iteration-order defects DET002 surfaced.
+"""Regression tests for set-iteration-order defects the set-iteration check surfaced.
 
 Both fixes replace iteration over a set with ``sorted(...)`` so the
 observable behaviour (dict key order, which error raises first) no

@@ -10,6 +10,7 @@ from repro.core.instance import DPIServiceInstance, InstanceConfig
 from repro.core.kernels import (
     KERNEL_NAMES,
     FlatTableKernel,
+    ReferenceKernel,
     RegexPrefilterKernel,
     ScanCache,
     make_kernel,
@@ -393,6 +394,22 @@ class TestRegexKernelResume:
         calls = spy_on_fallback(automaton._kernel)
         automaton.scan(payload)
         assert calls == []
+
+
+@pytest.mark.parametrize(
+    "kernel_cls", [ReferenceKernel, FlatTableKernel, RegexPrefilterKernel]
+)
+def test_kernel_public_methods_are_the_contract(kernel_cls):
+    """The equivalence tests prove kernels identical through ``scan`` only,
+    so any other public method (dunders besides ``__init__`` included)
+    would be surface they never cover.  ``name`` is the contract's tag."""
+    surface = {
+        name
+        for name, member in vars(kernel_cls).items()
+        if not name.startswith("_")
+        or (callable(member) and name.endswith("__") and name != "__init__")
+    }
+    assert surface == {"name", "scan"}
 
 
 class TestKernelSelection:

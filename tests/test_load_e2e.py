@@ -16,10 +16,10 @@ import json
 
 import pytest
 
-from repro.analysis.validators import ValidationError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.load.driver import run_load_scenario
 from repro.load.profiles import LoadSpec, RampSchedule
+from repro.validation import ValidationError
 
 
 def small_spec(**overrides):

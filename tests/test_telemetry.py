@@ -7,6 +7,8 @@ import pytest
 from repro.core.instance import DPIServiceInstance, InstanceConfig
 from repro.core.patterns import Pattern
 from repro.core.scanner import MiddleboxProfile
+from repro.load.driver import run_load_scenario
+from repro.load.profiles import LoadSpec
 from repro.net.simulator import Simulator
 from repro.telemetry import (
     MetricsRegistry,
@@ -15,6 +17,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.export import export_jsonl, iter_events, prometheus_text
 from repro.telemetry.report import render_report
+from repro.telemetry.scenario import run_figure5_scenario
 
 CHAIN = 100
 
@@ -352,3 +355,31 @@ class TestPercentiles:
         header = [line for line in header if "p99 us" in line]
         assert header, rendered
         assert "p50 us" in header[0] and "p95 us" in header[0]
+
+
+class TestLabelCardinality:
+    """Label values come from finite vocabularies (instance, chain, link
+    names), so the registry's series set must not grow with traffic."""
+
+    @staticmethod
+    def series(registry):
+        return {
+            (metric.name, tuple(sorted(metric.labels.items())))
+            for metric in registry.collect()
+        }
+
+    def test_figure5_series_do_not_grow_with_packets(self):
+        small, large = (
+            self.series(run_figure5_scenario(packets=n).hub.registry)
+            for n in (40, 120)
+        )
+        assert small and large == small
+
+    def test_load_series_do_not_grow_with_flows(self):
+        # No autoscaler: the instance labels stay the initial two.
+        spec = LoadSpec(initial_instances=2)
+        small, large = (
+            self.series(run_load_scenario(spec.with_overrides(flows=n)).hub.registry)
+            for n in (200, 600)
+        )
+        assert small and large == small

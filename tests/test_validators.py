@@ -8,7 +8,7 @@ The entry-point tests pin the ``validate=True`` defaults on
 
 import pytest
 
-from repro.analysis.validators import (
+from repro.validation import (
     Severity,
     ValidationError,
     errors_in,
