@@ -668,6 +668,17 @@ def _cmd_demo(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command-line parser."""
     parser = argparse.ArgumentParser(
@@ -680,13 +691,13 @@ def build_parser() -> argparse.ArgumentParser:
         "generate-patterns", help="write a synthetic pattern corpus"
     )
     generate.add_argument("--style", choices=("snort", "clamav"), default="snort")
-    generate.add_argument("--count", type=int, default=1000)
+    generate.add_argument("--count", type=_positive_int, default=1000)
     generate.add_argument("--seed", type=int, default=1)
     generate.add_argument("--out", required=True)
     generate.set_defaults(func=_cmd_generate_patterns)
 
     trace = commands.add_parser("generate-trace", help="write a traffic trace")
-    trace.add_argument("--packets", type=int, default=200)
+    trace.add_argument("--packets", type=_positive_int, default=200)
     trace.add_argument("--style", choices=("http", "campus"), default="http")
     trace.add_argument("--patterns", help="pattern file to inject from")
     trace.add_argument("--match-rate", type=float, default=0.08)
@@ -718,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="run the figure-5 telemetry scenario and print the summary",
     )
-    report.add_argument("--packets", type=int, default=40)
+    report.add_argument("--packets", type=_positive_int, default=40)
     report.add_argument("--seed", type=int, default=7)
     report.add_argument(
         "--kernel", choices=KERNEL_NAMES, default="flat"
@@ -819,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="200,600,1200,2000",
         help="comma-separated concurrent-flow steps",
     )
-    bench_e2e.add_argument("--epochs", type=int, default=18)
+    bench_e2e.add_argument("--epochs", type=_positive_int, default=18)
     bench_e2e.add_argument("--seed", type=int, default=7)
     bench_e2e.add_argument("--profile", default="mixed")
     bench_e2e.add_argument("--slo-ms", type=float, default=50.0)
@@ -840,8 +851,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="benign-http",
         help="benign profile or mix the baseline is fitted on",
     )
-    anomaly.add_argument("--flows", type=int, default=200)
-    anomaly.add_argument("--epochs", type=int, default=6)
+    anomaly.add_argument("--flows", type=_positive_int, default=200)
+    anomaly.add_argument("--epochs", type=_positive_int, default=6)
     anomaly.add_argument("--seed", type=int, default=7)
     anomaly.add_argument("--threshold", type=float, default=5.0)
     anomaly.add_argument("--min-packets", type=int, default=2)
@@ -864,8 +875,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-anomaly",
         help="anomaly detection quality + verdict reproducibility report",
     )
-    bench_anomaly.add_argument("--flows", type=int, default=400)
-    bench_anomaly.add_argument("--epochs", type=int, default=8)
+    bench_anomaly.add_argument("--flows", type=_positive_int, default=400)
+    bench_anomaly.add_argument("--epochs", type=_positive_int, default=8)
     bench_anomaly.add_argument("--seed", type=int, default=7)
     bench_anomaly.add_argument("--threshold", type=float, default=5.0)
     bench_anomaly.add_argument("--min-packets", type=int, default=2)
@@ -884,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--plan", required=True, help="fault plan JSON file to execute"
     )
-    chaos.add_argument("--packets", type=int, default=60)
+    chaos.add_argument("--packets", type=_positive_int, default=60)
     chaos.add_argument(
         "--kernel", choices=KERNEL_NAMES, default="flat"
     )
@@ -912,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_diff.add_argument(
         "--cases",
-        type=int,
+        type=_positive_int,
         default=8,
         help="generated cases per adversarial kind",
     )

@@ -334,20 +334,15 @@ class DPIServiceInstance:
                 self._m_matches.inc(total)
             tracer = self._tracer
             if tracer is not None and trace_parent is not None and trace_parent[0]:
-                at = tracer.now()
-                tracer.record(
-                    "inspect",
-                    parent=trace_parent,
-                    start=at,
-                    end=at,
-                    instance=self.name,
-                    chain=chain_id,
-                    kernel=self.config.kernel,
-                    bytes=scan.bytes_scanned,
-                    matches=total,
-                    elapsed_seconds=elapsed,
-                    cache_hit=(cache is not None and cache.hits > cache_hits_before),
-                )
+                tracer.start_span("inspect", trace_parent, {
+                    "instance": self.name,
+                    "chain": chain_id,
+                    "kernel": self.config.kernel,
+                    "bytes": scan.bytes_scanned,
+                    "matches": total,
+                    "elapsed_seconds": elapsed,
+                    "cache_hit": cache is not None and cache.hits > cache_hits_before,
+                })
         return InspectionOutput(
             matches=final_matches, report=report, bytes_scanned=scan.bytes_scanned
         )

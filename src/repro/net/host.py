@@ -118,13 +118,11 @@ class Host:
             self._m_origin_bytes.inc(len(packet.payload))
             tracer = hub.tracer
             if tracer is not None:
-                span = tracer.record(
-                    "steer",
-                    host=self.name,
-                    packet_id=packet.packet_id,
-                    payload_bytes=len(packet.payload),
-                )
-                packet.trace = span.context
+                packet.trace = tracer.start_span("steer", None, {
+                    "host": self.name,
+                    "packet_id": packet.packet_id,
+                    "payload_bytes": len(packet.payload),
+                })
             else:
                 # Sentinel context: marks the packet as already counted so
                 # forwarding hops never look like origins.
@@ -142,13 +140,11 @@ class Host:
             and packet.trace is not None
             and packet.trace[0]
         ):
-            hub.tracer.record(
-                "deliver",
-                parent=packet.trace,
-                host=self.name,
-                packet_id=packet.packet_id,
-                result=packet.is_result_packet,
-            )
+            hub.tracer.start_span("deliver", packet.trace, {
+                "host": self.name,
+                "packet_id": packet.packet_id,
+                "result": packet.is_result_packet,
+            })
         for response in self.function.process(packet):
             self.send(response)
 

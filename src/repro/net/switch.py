@@ -82,13 +82,11 @@ class Switch:
             trace = packet.trace
             if tracer is not None and trace is not None and trace[0]:
                 tags = packet.vlan_stack
-                tracer.record(
-                    "hop",
-                    parent=trace,
-                    switch=self.name,
-                    port=in_port,
-                    vid=tags[-1].vid if tags else None,
-                )
+                tracer.start_span("hop", trace, {
+                    "switch": self.name,
+                    "port": in_port,
+                    "vid": tags[-1].vid if tags else None,
+                })
         entry = self.table.lookup(packet, in_port)
         if entry is None:
             self.stats.table_misses += 1
@@ -102,11 +100,17 @@ class Switch:
         self.execute(packet, entry.actions, in_port)
 
     def execute(self, packet: Packet, actions, in_port: int) -> None:
-        """Execute an explicit action list (used for packet-out too)."""
+        """Execute an explicit action list (used for packet-out too).
+
+        The switch owns *packet* and applies header actions to it in place.
+        An ``OUTPUT`` or ``CONTROLLER`` that is the last action hands over
+        *packet* itself; an earlier one hands over a copy, so every port sees
+        the headers as they stood at its output."""
         forwarded = False
-        for action in actions:
+        last = len(actions) - 1
+        for index, action in enumerate(actions):
             if action.type is ActionType.OUTPUT:
-                self._send(packet, action.argument)
+                self._send(packet if index == last else packet.copy(), action.argument)
                 forwarded = True
             elif action.type is ActionType.FLOOD:
                 self._flood(packet, in_port)
@@ -116,7 +120,9 @@ class Switch:
                 return
             elif action.type is ActionType.CONTROLLER:
                 if self._controller is not None:
-                    self._controller.packet_in(self, packet, in_port)
+                    self._controller.packet_in(
+                        self, packet if index == last else packet.copy(), in_port
+                    )
                 forwarded = True
             else:
                 action.apply(packet)
@@ -129,7 +135,7 @@ class Switch:
             self.stats.packets_dropped += 1
             return
         self.stats.packets_forwarded += 1
-        link.send_from(self, packet.copy())
+        link.send_from(self, packet)
 
     def _flood(self, packet: Packet, in_port: int) -> None:
         self.stats.packets_flooded += 1

@@ -225,6 +225,38 @@ class TestKernelCommands:
         assert captured.out == ""
 
 
+class TestCountOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--packets", "-3"],
+            ["chaos", "figure5", "--plan", "PLAN", "--packets", "-4"],
+            ["anomaly", "--flows", "0"],
+            ["anomaly", "--epochs", "-2"],
+            ["bench-anomaly", "--flows", "0"],
+            ["bench-anomaly", "--epochs", "0"],
+            ["bench-e2e", "--epochs", "0"],
+            ["fuzz-diff", "--cases", "0"],
+            ["generate-trace", "--out", "t.rtrc", "--packets", "0"],
+            ["generate-patterns", "--out", "p.txt", "--count", "-1"],
+            ["report", "--packets", "many"],
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
+    )
+    def test_counts_below_one_are_usage_errors(self, capsys, argv):
+        """Regression: these crashed with a ValueError traceback, reported
+        OK on no traffic, or silently ran one flow."""
+        plan = Path(__file__).resolve().parent.parent / "examples/plan_basic.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(plan) if word == "PLAN" else word for word in argv])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("usage: repro-dpi")
+        assert f"error: argument {argv[-2]}" in captured.err
+        assert captured.out == ""
+
+
 class TestLoadCommand:
     def test_load_text_run_prints_table_and_digest(self, capsys):
         code = main(

@@ -1,0 +1,35 @@
+"""Digests the network path may not move.
+
+These values hash every metric, span and fault a run records (see
+:mod:`repro.telemetry.digest`).  They are independent of ``PYTHONHASHSEED``;
+a change that alters what a packet does, or what is recorded about it,
+changes them.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro.faults import FaultPlan, run_chaos_scenario
+from repro.telemetry.digest import deterministic_digest
+from repro.telemetry.scenario import run_figure5_scenario
+
+PLAN = Path(__file__).resolve().parent.parent / "examples" / "plan_basic.json"
+
+FIGURE5 = {
+    "flat": "969b3d25aebb6ad7330a853c350d81d6217fbb0fc0b032c31efc41e6237e8d1e",
+    "regex": "2daaca00e7de05c173083903f491d38a89fc1a0741d0257ede3825611589ebf2",
+}
+CHAOS_PLAN_BASIC = "e8fb6cc5d95e474dc4d6b0eba082a67ca8d80ebc489d41d896bb412d14a377fc"
+
+
+@pytest.mark.parametrize("kernel", sorted(FIGURE5))
+def test_figure5_digest(kernel):
+    result = run_figure5_scenario(packets=40, seed=7, kernel=kernel)
+    assert deterministic_digest(result.hub) == FIGURE5[kernel]
+
+
+@pytest.mark.parametrize("kernel", ["flat", "regex"])
+def test_chaos_plan_basic_digest(kernel):
+    result = run_chaos_scenario(FaultPlan.load(PLAN), kernel=kernel)
+    assert result.digest == CHAOS_PLAN_BASIC

@@ -209,9 +209,14 @@ class TestSwitch:
                 [FlowAction.push_vlan(42), FlowAction.output(2)],
             )
         )
-        link_a.send_from(a, make_packet())
+        packet = make_packet()
+        link_a.send_from(a, packet)
         sim.run()
-        assert b.received[0].outer_vlan.vid == 42
+        (received,) = b.received
+        assert received.outer_vlan.vid == 42
+        # The last output forwards the received object, its memo intact.
+        assert received is packet
+        assert received.length_memo == received.wire_length
 
     def test_drop_action(self):
         sim = Simulator()
@@ -266,7 +271,86 @@ class TestSwitch:
         wire(sim, switch, 2, b)
         wire(sim, switch, 3, c)
         switch.flow_mod(FlowEntry(FlowMatch(), [FlowAction.flood()]))
-        link_a.send_from(a, make_packet())
+        packet = make_packet()
+        link_a.send_from(a, packet)
         sim.run()
+        assert b.received[0] is not packet and c.received[0] is not packet
         b.received[0].push_vlan(VlanTag(vid=5))
         assert c.received[0].outer_vlan is None
+
+
+class TestCopyOnFanOut:
+    """The switch owns a packet it receives: its last output sends that very
+    object, and only an output with more actions after it sends a copy."""
+
+    def _switch(self, ports=3):
+        sim = Simulator()
+        switch = Switch(sim, "s1")
+        hosts = [_HostStub() for _ in range(ports)]
+        links = [wire(sim, switch, port, host) for port, host in enumerate(hosts, 1)]
+        return sim, switch, hosts, links
+
+    def _tagged(self, vid=10):
+        packet = make_packet()
+        packet.push_vlan(VlanTag(vid=vid))
+        return packet
+
+    def test_output_then_rewrite_then_output(self):
+        sim, switch, (a, b, c), (link_a, _, _) = self._switch()
+        switch.flow_mod(FlowEntry(FlowMatch(in_port=1), [
+            FlowAction.output(2), FlowAction.set_vlan_vid(20), FlowAction.output(3),
+        ]))
+        packet = self._tagged(10)
+        link_a.send_from(a, packet)
+        sim.run()
+        (first,), (second,) = b.received, c.received
+        assert first.outer_vlan.vid == 10
+        assert second.outer_vlan.vid == 20
+        assert first is not second
+        assert second is packet
+        assert first.vlan_stack is not second.vlan_stack
+
+    def test_back_to_back_outputs_do_not_share_headers(self):
+        sim, switch, (a, b, c), (link_a, _, _) = self._switch()
+        switch.flow_mod(FlowEntry(FlowMatch(in_port=1), [
+            FlowAction.output(2), FlowAction.output(3),
+        ]))
+        link_a.send_from(a, self._tagged(10))
+        sim.run()
+        b.received[0].push_vlan(VlanTag(vid=5))
+        assert c.received[0].outer_vlan.vid == 10
+
+    def test_controller_then_output_do_not_share_headers(self):
+        sim, switch, (a, b, c), (link_a, _, _) = self._switch()
+
+        class LearningController:
+            def packet_in(self, sw, packet, in_port):
+                sw.packet_out(packet, [FlowAction.output(3)])
+
+        switch.set_controller(LearningController())
+        switch.flow_mod(FlowEntry(FlowMatch(in_port=1), [
+            FlowAction.controller(), FlowAction.output(2),
+        ]))
+        packet = self._tagged(10)
+        link_a.send_from(a, packet)
+        sim.run()
+        (to_controller,), (direct,) = c.received, b.received
+        assert direct is packet
+        assert to_controller is not packet
+        direct.push_vlan(VlanTag(vid=5))
+        assert to_controller.outer_vlan.vid == 10
+
+    def test_packet_out_copies_only_on_fan_out(self):
+        sim, switch, (_, b, c), _ = self._switch()
+        packet = self._tagged(10)
+        switch.packet_out(packet, [
+            FlowAction.output(2), FlowAction.push_vlan(7), FlowAction.output(3),
+        ])
+        sim.run()
+        (first,), (second,) = b.received, c.received
+        assert first is not packet and first.outer_vlan.vid == 10
+        assert second is packet and second.outer_vlan.vid == 7
+        single = make_packet()
+        switch.packet_out(single, [FlowAction.output(2)])
+        sim.run()
+        assert b.received[-1] is single

@@ -117,31 +117,33 @@ class TestMetricsRegistry:
 class TestTracer:
     def test_root_and_children(self):
         tracer = Tracer(clock=lambda: 2.0)
-        root = tracer.start_span("steer", host="h1")
-        assert root.trace_id == root.span_id
-        assert root.parent_id is None
-        child = tracer.record("hop", parent=root, switch="s1")
-        assert child.trace_id == root.trace_id
-        assert child.parent_id == root.span_id
-        assert child.duration == 0.0
-        assert tracer.children_of(root) == [child]
+        root = tracer.start_span("steer", attributes={"host": "h1"})
+        child = tracer.start_span("hop", root, attributes={"switch": "s1"})
+        root_span, child_span = tracer.spans
+        assert root_span.trace_id == root_span.span_id
+        assert root_span.parent_id is None
+        assert root_span.context == root
+        assert child_span.trace_id == root_span.trace_id
+        assert child_span.parent_id == root_span.span_id
+        assert child_span.start == child_span.end == 2.0
+        assert child_span.context == child
 
     def test_parent_as_context_tuple(self):
         tracer = Tracer(clock=lambda: 0.0)
         root = tracer.start_span("steer")
-        child = tracer.record("inspect", parent=root.context)
-        assert (child.trace_id, child.parent_id) == root.context
+        tracer.start_span("inspect", root)
+        child = tracer.spans[-1]
+        assert (child.trace_id, child.parent_id) == root
 
     def test_tree_nesting(self):
         tracer = Tracer(clock=lambda: 0.0)
         root = tracer.start_span("steer")
-        tracer.record("hop", parent=root)
-        tracer.record("deliver", parent=root)
-        tree = tracer.tree(root.trace_id)
-        assert tree["span"] is root
-        assert [node["span"].name for node in tree["children"]] == [
-            "hop", "deliver"
-        ]
+        tracer.start_span("hop", root)
+        tracer.start_span("deliver", root)
+        assert [
+            span.name for span in tracer.spans
+            if (span.trace_id, span.parent_id) == root
+        ] == ["hop", "deliver"]
 
     def test_span_retention_bound(self):
         tracer = Tracer(clock=lambda: 0.0, max_spans=5)
@@ -155,7 +157,7 @@ class TestTracer:
         spans_b = Tracer(clock=lambda: 0.0)
         for tracer in (spans_a, spans_b):
             root = tracer.start_span("steer")
-            tracer.record("hop", parent=root)
+            tracer.start_span("hop", root)
         assert [s.span_id for s in spans_a.spans] == [
             s.span_id for s in spans_b.spans
         ]
@@ -166,8 +168,8 @@ class TestExporters:
         hub = TelemetryHub(clock=lambda: 3.0)
         hub.registry.counter("pkts", instance="a").inc(2)
         hub.registry.histogram("lat", buckets=(0.1,), instance="a").observe(0.05)
-        root = hub.tracer.start_span("steer", host="h1")
-        hub.tracer.record("hop", parent=root, switch="s1")
+        root = hub.tracer.start_span("steer", attributes={"host": "h1"})
+        hub.tracer.start_span("hop", root, attributes={"switch": "s1"})
         return hub
 
     def test_prometheus_text_format(self):
@@ -272,10 +274,10 @@ class TestInstanceTelemetry:
         hub = TelemetryHub()
         instance = make_instance(telemetry=hub)
         instance.inspect(b"no parent", chain_id=CHAIN)
-        assert hub.tracer.spans_named("inspect") == []
+        assert hub.tracer.spans == []
         root = hub.tracer.start_span("steer")
-        instance.inspect(b"with needle-alpha", chain_id=CHAIN, trace_parent=root.context)
-        spans = hub.tracer.spans_named("inspect")
+        instance.inspect(b"with needle-alpha", chain_id=CHAIN, trace_parent=root)
+        spans = [span for span in hub.tracer.spans if span.name == "inspect"]
         assert len(spans) == 1
         attrs = spans[0].attributes
         assert attrs["instance"] == "dpi-t"

@@ -25,20 +25,33 @@ def scenario():
     return run_figure5_scenario(packets=PACKETS, seed=7)
 
 
+def spans_named(tracer, name):
+    return [span for span in tracer.spans if span.name == name]
+
+
+def children_by_parent(tracer):
+    """Map each ``(trace id, span id)`` context to its child spans."""
+    children = {}
+    for span in tracer.spans:
+        children.setdefault((span.trace_id, span.parent_id), []).append(span)
+    return children
+
+
 class TestSpanTree:
     def test_every_packet_has_a_complete_trace(self, scenario):
         tracer = scenario.hub.tracer
-        roots = tracer.spans_named("steer")
+        roots = spans_named(tracer, "steer")
+        children = children_by_parent(tracer)
         assert len(roots) == PACKETS
         for root in roots:
-            names = [span.name for span in tracer.children_of(root)]
+            names = [span.name for span in children.get(root.context, ())]
             # steer -> at least one switch hop -> DPI inspect -> delivery.
             assert "hop" in names
             assert "inspect" in names
             assert "deliver" in names
 
     def test_inspect_spans_carry_scan_attributes(self, scenario):
-        spans = scenario.hub.tracer.spans_named("inspect")
+        spans = spans_named(scenario.hub.tracer, "inspect")
         assert len(spans) == PACKETS
         for span in spans:
             assert span.attributes["instance"] == "dpi3"
@@ -53,7 +66,7 @@ class TestSpanTree:
     def test_hop_spans_name_real_switches(self, scenario):
         switches = {
             span.attributes["switch"]
-            for span in scenario.hub.tracer.spans_named("hop")
+            for span in spans_named(scenario.hub.tracer, "hop")
         }
         assert switches <= {"s1", "s2", "s3", "s4"}
         assert "s1" in switches  # both sources attach at s1
@@ -62,11 +75,12 @@ class TestSpanTree:
         self, scenario
     ):
         tracer = scenario.hub.tracer
+        children = children_by_parent(tracer)
         reached = 0
-        for root in tracer.spans_named("steer"):
+        for root in spans_named(tracer, "steer"):
             hosts = {
                 span.attributes["host"]
-                for span in tracer.children_of(root)
+                for span in children.get(root.context, ())
                 if span.name == "deliver"
             }
             if hosts & {"dst1", "dst2"}:
