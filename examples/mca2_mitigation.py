@@ -2,16 +2,17 @@
 """MCA^2-style attack mitigation (paper Section 4.3.1, Figure 6).
 
 A DPI service instance is calibrated on benign traffic; an attacker then
-sends *heavy* packets (match floods / near-miss payloads) that inflate the
-engine's per-byte cost.  The stress monitor — the DPI controller acting as
-the central MCA^2 coordinator — detects the anomaly, allocates a dedicated
-instance running the flat-cost full-table layout, and migrates the heavy
-flows to it.
+sends *heavy* packets (match floods) that inflate the engine's work per
+byte.  The autoscaler's stress policy — the DPI controller's one control
+loop acting as the central MCA^2 coordinator — detects it from the
+instance's byte and match counters, allocates a dedicated instance running
+the flat-cost full-table layout, and migrates the heavy flows to it.
 
 Run:  python examples/mca2_mitigation.py
 """
 
-from repro.core import DPIController, StressMonitor
+from repro.autoscale import Autoscaler, StressPolicy
+from repro.core import DPIController
 from repro.core.messages import AddPatternsMessage, RegisterMiddleboxMessage
 from repro.core.patterns import Pattern
 from repro.net.steering import PolicyChain
@@ -38,67 +39,65 @@ controller.handle_message(
 controller.policy_chains_changed(
     {"c": PolicyChain("c", ("ids",), chain_id=CHAIN)}
 )
-instance = controller.instances.provision("dpi-1")
-
-# ----------------------------------------------------------------------
-# 2. Calibrate the stress monitor on benign traffic.
-# ----------------------------------------------------------------------
-monitor = StressMonitor(controller, threshold_factor=1.5)
-generator = TrafficGenerator(seed=9)
-for index in range(60):
-    instance.inspect(generator.benign_payload(900), chain_id=CHAIN, flow_key=f"user-{index % 10}")
-baselines = monitor.calibrate()
-print(f"calibrated baseline: {baselines['dpi-1']:.0f} ns/byte")
-
-# ----------------------------------------------------------------------
-# 3. The attack: three flows sending heavy payloads.  The monitor polls
-#    periodically, as it would in deployment; the attack persists until
-#    detected.
-# ----------------------------------------------------------------------
-attack_payload = match_flood_payload(patterns, 4000, seed=1)
-events = []
-for poll in range(5):
-    for round_index in range(20):
-        instance.inspect(
-            attack_payload, chain_id=CHAIN, flow_key=f"attacker-{round_index % 3}"
-        )
-        # Benign users keep sending too.
-        instance.inspect(generator.benign_payload(900), chain_id=CHAIN, flow_key="user-0")
-    events = monitor.observe()
-    if events:
-        break
-if not events:
-    raise SystemExit("attack not detected — try a larger attack volume")
-event = events[0]
-print(
-    f"\nSTRESS on {event.instance_name}: {event.ns_per_byte:.0f} ns/byte "
-    f"({event.stress_factor:.1f}x the baseline)"
+controller.instances.provision("dpi-1")
+stress = StressPolicy(threshold_factor=1.5)
+autoscaler = Autoscaler(
+    controller,
+    rate_bytes_per_second=1e6,
+    epoch_seconds=1.0,
+    slo_seconds=0.05,
+    policies=[stress],
 )
 
-migrated_log = []
-monitor.on_flow_migrated = lambda flow, target: migrated_log.append((flow, target))
-action = monitor.mitigate(event)
-print(f"dedicated instance: {action.dedicated_instance} "
-      f"(created={action.dedicated_created}, layout="
-      f"{controller.instances[action.dedicated_instance].config.layout})")
-print("migrated heavy flows:")
-for flow_key, target in migrated_log:
-    print(f"  {flow_key} -> {target}")
+
+def inspect(payload, flow_key):
+    """Steer a packet to its flow's pinned instance, else the shared one."""
+    name = autoscaler.pins.get(flow_key, "dpi-1")
+    controller.instances[name].inspect(payload, chain_id=CHAIN, flow_key=flow_key)
+
 
 # ----------------------------------------------------------------------
-# 5. Attack traffic now lands on the dedicated instance; the primary
+# 2. Calibrate on benign traffic: the first tick sets the baseline.
+# ----------------------------------------------------------------------
+generator = TrafficGenerator(seed=9)
+for index in range(60):
+    inspect(generator.benign_payload(900), f"user-{index % 10}")
+autoscaler.tick(epoch=0)
+print(f"calibrated baseline: {stress.baselines['dpi-1']:.2f} work units/byte")
+
+# ----------------------------------------------------------------------
+# 3. The attack: three flows sending match floods while benign users keep
+#    sending.  The next tick sees the work per byte jump and migrates.
+# ----------------------------------------------------------------------
+attack_payload = match_flood_payload(patterns, 4000, seed=1)
+for round_index in range(20):
+    inspect(attack_payload, f"attacker-{round_index % 3}")
+    inspect(generator.benign_payload(900), "user-0")
+events = autoscaler.tick(epoch=1)
+if not events:
+    raise SystemExit("attack not detected")
+(event,) = events
+assert event.action == "migrate", event
+print(f"\nSTRESS: {event.reason}")
+dedicated = controller.instances[event.instance]
+print(f"dedicated instance: {event.instance} (layout={dedicated.config.layout})")
+print("migrated heavy flows:")
+for flow_key, target in autoscaler.pins.items():
+    print(f"  {flow_key} -> {target}")
+assert sorted(autoscaler.pins) == ["attacker-0", "attacker-1", "attacker-2"]
+
+# ----------------------------------------------------------------------
+# 4. Attack traffic now lands on the dedicated instance; the primary
 #    instance serves benign users again.
 # ----------------------------------------------------------------------
-dedicated = controller.instances[action.dedicated_instance]
 for _ in range(5):
-    dedicated.inspect(attack_payload, chain_id=CHAIN, flow_key="attacker-0")
-    instance.inspect(generator.benign_payload(900), chain_id=CHAIN, flow_key="user-1")
+    inspect(attack_payload, "attacker-0")
+    inspect(generator.benign_payload(900), "user-1")
+assert autoscaler.tick(epoch=2) == []
 
 telemetry = controller.telemetry_snapshot().instances
 print("\nper-instance telemetry after mitigation:")
 for name, snapshot in telemetry.items():
     print(f"  {name}: {snapshot['packets_scanned']} packets, "
-          f"{snapshot['bytes_scanned']} bytes")
-
-released = monitor.deallocate_dedicated()
-print(f"\nattack over; released dedicated instances: {released}")
+          f"{snapshot['bytes_scanned']} bytes, "
+          f"{snapshot['total_matches']} matches")

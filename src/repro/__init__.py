@@ -4,7 +4,9 @@ Subpackages:
 
 * :mod:`repro.core` — the paper's contribution: the combined virtual-DPI
   automaton, the per-packet scanner, the DPI controller and service
-  instances, match reports, and MCA^2-style robustness.
+  instances and match reports.
+* :mod:`repro.autoscale` — the one control loop: scaling, heavy-hitter
+  isolation and MCA^2-style stress migration.
 * :mod:`repro.net` — the SDN substrate: a deterministic discrete-event
   simulator with OpenFlow-style switches, an SDN controller and a
   SIMPLE-style traffic steering application.
@@ -28,7 +30,6 @@ from repro.core import (
     PatternKind,
     PatternSet,
     RegexPreFilter,
-    StressMonitor,
     VirtualScanner,
 )
 
@@ -45,7 +46,6 @@ __all__ = [
     "PatternKind",
     "PatternSet",
     "RegexPreFilter",
-    "StressMonitor",
     "VirtualScanner",
     "__version__",
 ]

@@ -26,6 +26,7 @@ from repro.autoscale.policies import (
     LoadSignals,
     ScalingDecision,
     ScalingPolicy,
+    StressPolicy,
     ThresholdPolicy,
     build_policies,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "QUEUE_LATENCY_BUCKETS",
     "ScalingDecision",
     "ScalingPolicy",
+    "StressPolicy",
     "ThresholdPolicy",
     "build_policies",
     "FAULT_EVENTS",

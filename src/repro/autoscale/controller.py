@@ -8,9 +8,11 @@ deltas, fault-event activity), consults its policy stack, and acts through
 the :class:`~repro.core.lifecycle.InstanceManager` facade — provision on
 sustained SLO breach, decommission when idle, provision a *dedicated*
 instance and pin a heavy-hitter flow to it when the isolation policy
-fires.  A self-healing floor replaces crashed instances regardless of
-policy state, so fault injection triggers failover while hysteresis keeps
-the policy itself from flapping.
+fires, and migrate a stressed instance's heaviest flows to a dedicated
+full-table engine when the MCA² stress policy fires (paper §4.3.1).  A
+self-healing floor replaces crashed instances regardless of policy state,
+so fault injection triggers failover while hysteresis keeps the policy
+itself from flapping.  It is the service's only control loop.
 
 Everything here must stay deterministic: no wall clock, no unseeded
 randomness, instance names from a monotonic sequence.
@@ -41,6 +43,9 @@ LOAD_SLO_VIOLATIONS = "load_slo_violations_total"
 LOAD_PACKETS = "load_packets_total"
 LOAD_SUPPRESSED = "load_suppressed_packets_total"
 FAULT_EVENTS = "fault_events_total"
+#: Instance counters the MCA² stress feed reads (the instances own them).
+DPI_BYTES = "dpi_bytes_scanned_total"
+DPI_MATCHES = "dpi_matches_total"
 
 #: Queue-latency histogram bounds (seconds): sub-millisecond to 5s, spaced
 #: around typical SLOs (tens of milliseconds).
@@ -55,7 +60,7 @@ class AutoscaleEvent:
 
     time: float
     epoch: int
-    action: str  # "up" | "down" | "heal" | "isolate"
+    action: str  # "up" | "down" | "heal" | "isolate" | "migrate"
     instance: str
     reason: str
 
@@ -66,13 +71,21 @@ class _CounterWatch:
 
     seen: dict[tuple[tuple[str, Any], ...], float] = field(default_factory=dict)
 
-    def delta(self, metrics: Iterable[Any]) -> float:
-        total = 0.0
+    def deltas(
+        self, metrics: Iterable[Any]
+    ) -> dict[tuple[tuple[str, Any], ...], float]:
+        """Increment per label set since the previous call."""
+        out = {}
         for metric in metrics:
             key = tuple(sorted(metric.labels.items()))
-            previous = self.seen.get(key, 0.0)
-            total += metric.value - previous
+            out[key] = metric.value - self.seen.get(key, 0.0)
             self.seen[key] = metric.value
+        return out
+
+    def delta(self, metrics: Iterable[Any]) -> float:
+        total = 0.0
+        for increment in self.deltas(metrics).values():
+            total += increment
         return total
 
 
@@ -118,6 +131,8 @@ class Autoscaler:
         self._managed: list[str] = []  # shared instances we provisioned
         self._offered = _CounterWatch()
         self._faults = _CounterWatch()
+        self._scanned = _CounterWatch()
+        self._matched = _CounterWatch()
         self._latency_seen: dict[tuple[tuple[str, Any], ...], list[int]] = {}
         #: flow_key -> dedicated instance name (the driver honors these).
         self.pins: dict[Hashable, str] = {}
@@ -180,6 +195,16 @@ class Autoscaler:
         capacity = (
             max(1, len(alive)) * self.rate_bytes_per_second * self.epoch_seconds
         )
+        scanned = self._scanned.deltas(self.registry.collect_named(DPI_BYTES))
+        matched = self._matched.deltas(self.registry.collect_named(DPI_MATCHES))
+        instance_load = tuple(
+            (
+                name,
+                scanned.get((("instance", name),), 0),
+                matched.get((("instance", name),), 0),
+            )
+            for name in alive
+        )
         return LoadSignals(
             epoch=epoch,
             now=self.clock(),
@@ -193,14 +218,15 @@ class Autoscaler:
             heavy_flow=heavy_flow,
             heavy_chain=heavy_chain,
             anomalous_flows=tuple(anomalous_flows),
+            instance_load=instance_load,
         )
 
     # -- acting ----------------------------------------------------------
 
-    def _next_name(self, *, isolated: bool = False) -> str:
+    def _next_name(self, kind: str = "") -> str:
         self._sequence += 1
-        if isolated:
-            return f"{self.prefix}-iso-{self._sequence}"
+        if kind:
+            return f"{self.prefix}-{kind}-{self._sequence}"
         return f"{self.prefix}-{self._sequence}"
 
     def _actions_counter(self, action: str) -> Any:
@@ -235,7 +261,7 @@ class Autoscaler:
         """Provision a dedicated instance and pin the decision's flow."""
         if decision.flow_key is None or decision.flow_key in self.pins:
             return False
-        name = self._next_name(isolated=True)
+        name = self._next_name("iso")
         chain_ids = (
             (decision.chain_id,) if decision.chain_id is not None else None
         )
@@ -246,6 +272,43 @@ class Autoscaler:
         self.pins[decision.flow_key] = name
         self._record(epoch, "isolate", name, decision.reason)
         return True
+
+    def _apply_migrate(self, epoch: int, decision: ScalingDecision) -> None:
+        """Move the stressed instance's heaviest flows to a dedicated
+        full-table engine serving its chains, and pin them there."""
+        source_name = decision.instance
+        chain_ids = self.manager.chain_filter_of(source_name)
+        target = next(
+            (
+                name
+                for name in self.manager.dedicated_names()
+                if self.manager[name].alive
+                and self.manager[name].config.layout == "full"
+                and self.manager.chain_filter_of(name) == chain_ids
+            ),
+            None,
+        )
+        if target is None:
+            target = self._next_name("mca2")
+            kwargs = dict(self.provision_kwargs)
+            kwargs.update(chain_ids=chain_ids, layout="full", dedicated=True)
+            self.manager.provision(target, **kwargs)
+        source = self.manager[source_name]
+        moved = []
+        for flow_key, _work in source.heavy_flows(top=decision.flows):
+            if flow_key in self.pins:  # isolated earlier: stale work only
+                source.drop_flow(flow_key)
+                continue
+            if not self.controller.migrate_flow(flow_key, source_name, target):
+                source.drop_flow(flow_key)  # stateless: no scan state to move
+            self.pins[flow_key] = target
+            moved.append(flow_key)
+        self._record(
+            epoch,
+            "migrate",
+            target,
+            f"{decision.reason}; moved {len(moved)} flow(s) from {source_name}",
+        )
 
     def isolate_now(
         self,
@@ -328,6 +391,8 @@ class Autoscaler:
                 self._record(epoch, "down", target, decision.reason)
         elif decision.action == "isolate":
             self._apply_isolate(epoch, decision)
+        elif decision.action == "migrate":
+            self._apply_migrate(epoch, decision)
 
         self._instances_gauge.set(len(self.shared_alive()))
         return self.events[applied_from:]

@@ -1,4 +1,4 @@
-"""Pluggable scaling policies: threshold, hysteresis, heavy-hitter isolation.
+"""Pluggable scaling policies: threshold, hysteresis, isolation, MCA² stress.
 
 A policy is a pure decision function: :class:`LoadSignals` in, one
 :class:`ScalingDecision` out.  The :class:`~repro.autoscale.controller.
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Hashable, Protocol
+
+from repro.core.instance import MATCH_WORK_BYTES
 
 
 @dataclass(frozen=True)
@@ -41,16 +43,23 @@ class LoadSignals:
     #: Flows the anomaly detector flagged this window and that are not yet
     #: pinned, as sorted ``(flow_key, chain_id)`` pairs.
     anomalous_flows: tuple = ()
+    #: ``(name, bytes scanned, matches)`` this window for every alive
+    #: shared instance, sorted by name (the MCA² stress feed).
+    instance_load: tuple = ()
 
 
 @dataclass(frozen=True)
 class ScalingDecision:
     """What a policy wants done this tick."""
 
-    action: str  # "hold" | "up" | "down" | "isolate"
+    action: str  # "hold" | "up" | "down" | "isolate" | "migrate"
     reason: str = ""
     flow_key: Hashable | None = None
     chain_id: int | None = None
+    #: migrate: the stressed instance, and how many of its heaviest flows
+    #: to move to a dedicated engine.
+    instance: str | None = None
+    flows: int = 0
 
 
 HOLD = ScalingDecision("hold")
@@ -207,6 +216,51 @@ class IsolationPolicy:
                 chain_id=signals.heavy_chain,
             )
         return HOLD
+
+
+@dataclass
+class StressPolicy:
+    """MCA² stress detection (paper §4.3.1) as a policy.
+
+    Each instance's first window of at least ``min_window_bytes`` sets its
+    baseline work per byte (work = bytes + ``MATCH_WORK_BYTES`` x matches).
+    A later window above ``threshold_factor`` x that baseline asks the
+    autoscaler to move the instance's ``flows_per_migration`` heaviest
+    flows to a dedicated full-table engine, whose per-byte cost a match
+    flood cannot inflate.  Counters, not seconds: the same traffic gets
+    the same verdict on any machine.
+    """
+
+    threshold_factor: float = 2.5
+    min_window_bytes: int = 1024
+    flows_per_migration: int = 3
+    name: str = "stress"
+
+    def __post_init__(self) -> None:
+        if self.threshold_factor <= 1.0:
+            raise ValueError(
+                f"threshold factor must exceed 1.0: {self.threshold_factor}"
+            )
+        self.baselines: dict[str, float] = {}
+
+    def decide(self, signals: LoadSignals) -> ScalingDecision:
+        stressed = HOLD
+        for name, scanned, matches in signals.instance_load:
+            if scanned < self.min_window_bytes:
+                continue
+            work = (scanned + MATCH_WORK_BYTES * matches) / scanned
+            baseline = self.baselines.setdefault(name, work)
+            if stressed is HOLD and work > baseline * self.threshold_factor:
+                stressed = ScalingDecision(
+                    "migrate",
+                    reason=(
+                        f"{name} work {work:.2f}/B is {work / baseline:.1f}x "
+                        f"its baseline {baseline:.2f}/B"
+                    ),
+                    instance=name,
+                    flows=self.flows_per_migration,
+                )
+        return stressed
 
 
 POLICY_NAMES = ("threshold", "hysteresis", "isolation")

@@ -17,8 +17,9 @@ Public API:
 * :class:`~repro.core.instance.DPIServiceInstance` and
   :class:`~repro.core.controller.DPIController` — the service data plane and
   its logically centralized control (Section 4).
-* :class:`~repro.core.mca2.StressMonitor` — MCA^2-style robustness
-  (Section 4.3.1).
+
+MCA^2-style robustness (Section 4.3.1) is a policy of the one control loop,
+:class:`repro.autoscale.StressPolicy`.
 """
 
 from repro.core.patterns import Pattern, PatternKind, PatternSet
@@ -41,10 +42,7 @@ from repro.core.messages import (
 )
 from repro.core.controller import DPIController
 from repro.core.instance import DPIServiceInstance
-from repro.core.deployment import DeploymentPlanner
-from repro.core.mca2 import StressMonitor
 from repro.core.stream import StreamInspector
-from repro.core.orchestrator import ServiceOrchestrator
 
 __all__ = [
     "Pattern",
@@ -73,8 +71,5 @@ __all__ = [
     "RemovePatternsMessage",
     "DPIController",
     "DPIServiceInstance",
-    "DeploymentPlanner",
-    "StressMonitor",
     "StreamInspector",
-    "ServiceOrchestrator",
 ]

@@ -51,17 +51,12 @@ class DPIController:
         self, dpi_service_type: str = "dpi", telemetry: TelemetryHub | None = None
     ) -> None:
         self.dpi_service_type = dpi_service_type
-        # Always-present hub: instances publish into its registry, so load
-        # sampling and the stress monitor are purely registry-backed.  Pass
-        # a simulator-clocked hub (TelemetryHub.for_simulator) to share one
-        # timeline with the data plane; the default is wall-clocked and
-        # trace-free.
+        # Always-present hub: instances publish into its registry, which
+        # is all the autoscaler reads.  Pass a simulator-clocked hub
+        # (TelemetryHub.for_simulator) to share one timeline with the data
+        # plane; the default is wall-clocked and trace-free.
         self.telemetry = (
             telemetry if telemetry is not None else TelemetryHub(tracing=False)
-        )
-        self._load_window = self.telemetry.registry.window(
-            ("dpi_bytes_scanned_total", "dpi_scan_seconds_total"),
-            zero_baseline=True,
         )
         self.registry = GlobalPatternRegistry()
         self._middleboxes: dict[int, MiddleboxRecord] = {}
@@ -77,9 +72,6 @@ class DPIController:
         #: (``provision`` / ``decommission`` / ``plan_groups`` / ``refresh``).
         self.instances = InstanceManager(self)
         self._tsa = None
-        #: The attached MCA² stress monitor, if any (set by StressMonitor);
-        #: its calibrated baselines ride along in telemetry snapshots.
-        self.stress_monitor = None
 
     # --- middlebox registration -------------------------------------------
 
@@ -295,35 +287,13 @@ class DPIController:
             for chain_id in selected
         }
 
-    def load_samples(self, window_seconds: float) -> list:
-        """Per-instance :class:`~repro.core.deployment.LoadSample` objects
-        for the registry counters accumulated since the previous call."""
-        from repro.core.deployment import LoadSample
-
-        if window_seconds <= 0:
-            raise ValueError(f"window must be positive: {window_seconds}")
-        delta = self._load_window.delta()
-        return [
-            LoadSample(
-                instance_name=name,
-                bytes_scanned=delta.value(
-                    "dpi_bytes_scanned_total", instance=name
-                ),
-                scan_seconds=delta.value(
-                    "dpi_scan_seconds_total", instance=name
-                ),
-                window_seconds=window_seconds,
-            )
-            for name in self.instances
-        ]
-
     # --- telemetry and migration ---------------------------------------------
 
     def telemetry_snapshot(self):
         """The unified, typed telemetry snapshot
         (:class:`~repro.telemetry.snapshot.TelemetrySnapshot`): per-instance
-        counters, stress-monitor baselines, the full registry dump and every
-        recorded fault event, timestamped by the hub clock."""
+        counters, the full registry dump and every recorded fault event,
+        timestamped by the hub clock."""
         from repro.telemetry.snapshot import build_snapshot
 
         return build_snapshot(self)
@@ -332,7 +302,8 @@ class DPIController:
         """Move one flow's scan state between instances (Section 4.3).
 
         Returns False when the source holds no state for the flow (nothing
-        to migrate — the target will simply start it fresh).  A missing
+        to migrate — the target will simply start it fresh).  Migrating a
+        flow to its own instance is a ``ValueError``.  A missing
         source or target raises ``KeyError(f"no instance named {name}")``
         (the same contract as ``instances.decommission``); a crashed source
         or target raises
@@ -341,6 +312,10 @@ class DPIController:
         same configuration for DFA states to be meaningful, which holds for
         instances built from the same config.
         """
+        if source_name == target_name:
+            raise ValueError(
+                f"cannot migrate a flow onto its own instance: {source_name}"
+            )
         source = self.instances[source_name]
         target = self.instances[target_name]
         exported = source.export_flow(flow_key)

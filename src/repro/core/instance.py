@@ -38,6 +38,16 @@ from repro.net.packet import Packet
 
 RESULT_MODES = ("result_packet", "nsh", "tags")
 
+#: Scan work one match costs, in scanned-byte equivalents.  Measured with
+#: the flat kernel under CPython 3.11 on Snort-like sets of 150 and 400
+#: patterns: benign ``TrafficGenerator`` payloads carry 0.0 matches/KB and
+#: scan at ~85 ns/B; ``match_flood_payload`` carries 94-100 matches/KB and
+#: scans at 391-441 ns/B (x4.6-5.2), so one match costs about as much as
+#: 40 scanned bytes (a second run read x3.4-3.8, 25-31 bytes).  A flow's
+#: or an instance's work is ``bytes + MATCH_WORK_BYTES * matches``: a
+#: count, not a duration, so every decision made from it is reproducible.
+MATCH_WORK_BYTES = 40
+
 
 class InstanceUnavailableError(RuntimeError):
     """Raised when an operation reaches a crashed DPI service instance.
@@ -61,8 +71,7 @@ class InstanceConfig:
     #: flat-table kernel; the reference loops remain selectable.
     kernel: str = "flat"
     #: LRU scan-cache capacity; 0 disables caching (the default — cached
-    #: scans also skip the real per-byte work the MCA^2 stress telemetry
-    #: measures, so caching is opt-in).
+    #: scans skip the real per-byte work, so caching is opt-in).
     scan_cache_size: int = 0
 
     def __post_init__(self) -> None:
@@ -101,8 +110,9 @@ class InstanceTelemetry:
     total_matches: int = 0
     scan_seconds: float = 0.0
     regex_confirmations: int = 0
-    # Heaviest flows by per-byte work, for the stress monitor.
-    flow_work: dict[Hashable, float] = field(default_factory=dict)
+    #: Scan work per flow (bytes + MATCH_WORK_BYTES x matches), for MCA²
+    #: migration of the heaviest flows.
+    flow_work: dict[Hashable, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -323,8 +333,11 @@ class DPIServiceInstance:
         if total:
             telemetry.packets_with_matches += 1
         if flow_key is not None:
-            work = telemetry.flow_work.get(flow_key, 0.0)
-            telemetry.flow_work[flow_key] = work + elapsed
+            telemetry.flow_work[flow_key] = (
+                telemetry.flow_work.get(flow_key, 0)
+                + scan.bytes_scanned
+                + MATCH_WORK_BYTES * total
+            )
         if telemetry_on:
             self._m_packets.inc()
             self._m_bytes.inc(scan.bytes_scanned)
@@ -370,8 +383,8 @@ class DPIServiceInstance:
         self.scanner.flow_table.remove(flow_key)
         self.telemetry.flow_work.pop(flow_key, None)
 
-    def heavy_flows(self, top: int = 5) -> list[tuple[Hashable, float]]:
-        """Flows ranked by accumulated scan work (for the stress monitor)."""
+    def heavy_flows(self, top: int = 5) -> list[tuple[Hashable, int]]:
+        """Flows ranked by accumulated scan work, heaviest first."""
         ranked = sorted(
             self.telemetry.flow_work.items(), key=lambda kv: kv[1], reverse=True
         )

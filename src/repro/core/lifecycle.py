@@ -36,6 +36,50 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.controller import DPIController
 
 
+def jaccard_similarity(set_a: set, set_b: set) -> float:
+    """Similarity of two chains' middlebox sets (1.0 = identical)."""
+    union = set_a | set_b
+    if not union:
+        return 1.0
+    return len(set_a & set_b) / len(union)
+
+
+def group_chains_by_similarity(
+    chain_map: dict, max_groups: int, min_similarity: float = 0.0
+) -> list[list]:
+    """Greedy agglomerative grouping of policy chains.
+
+    ``chain_map`` maps chain id -> iterable of middlebox ids.  Starting from
+    one group per chain, the two groups whose middlebox sets are most
+    similar merge, until *max_groups* remain or the best similarity drops
+    below *min_similarity*.  Returns a list of chain-id lists.
+    """
+    if max_groups < 1:
+        raise ValueError(f"max_groups must be >= 1, got {max_groups}")
+    groups = [
+        {"chains": [chain_id], "middleboxes": set(middleboxes)}
+        for chain_id, middleboxes in sorted(chain_map.items())
+    ]
+    while len(groups) > max_groups:
+        best = None
+        best_similarity = -1.0
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                similarity = jaccard_similarity(
+                    groups[i]["middleboxes"], groups[j]["middleboxes"]
+                )
+                if similarity > best_similarity:
+                    best_similarity = similarity
+                    best = (i, j)
+        if best is None or best_similarity < min_similarity:
+            break
+        i, j = best
+        groups[i]["chains"].extend(groups[j]["chains"])
+        groups[i]["middleboxes"] |= groups[j]["middleboxes"]
+        del groups[j]
+    return [sorted(group["chains"]) for group in groups]
+
+
 class InstanceManager(Mapping[str, DPIServiceInstance]):
     """Owns the controller's DPI service instances and their lifecycle.
 
@@ -137,8 +181,8 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
         error-grade issues raise
         :class:`~repro.validation.ValidationError` before the
         instance exists.  ``dedicated=True`` marks the instance as an MCA²
-        dedicated engine: the stress monitor skips it during observation
-        and failover never selects it for decommissioning.  ``**engine``
+        dedicated engine: the autoscaler neither counts nor scales it, and
+        failover never selects it for decommissioning.  ``**engine``
         goes to :meth:`build_config`.
         """
         if name in self._by_name:
@@ -190,8 +234,6 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
         and each group gets a specialized instance carrying only its own
         pattern sets.  Returns ``{instance name: [chain ids]}``.
         """
-        from repro.core.deployment import group_chains_by_similarity
-
         chain_map = self._controller.chain_map()
         populated = {
             chain_id: middleboxes

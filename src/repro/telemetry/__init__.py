@@ -3,8 +3,8 @@
 One :class:`TelemetryHub` bundles the three things every consumer needs:
 
 * a :class:`~repro.telemetry.registry.MetricsRegistry` of counters, gauges
-  and histograms with windowed delta support (the MCA² stress monitor and
-  the deployment planner read load through windows over it);
+  and histograms with windowed delta support (the autoscaler reads its
+  load signals from it);
 * a :class:`~repro.telemetry.tracing.Tracer` whose spans follow a packet
   end-to-end — TSA steering, switch hops, DPI inspection, middlebox result
   delivery;

@@ -8,9 +8,8 @@ simulation, a wall clock for bare scans (see
 
 Counters are monotonic; consumers that need per-window rates hold a
 :class:`MetricsWindow` and call :meth:`MetricsWindow.delta`, which returns
-the counter increments since the previous call.  Windows are independent —
-the stress monitor, the deployment planner and a report exporter can each
-advance their own window without disturbing the others.
+the counter increments since the previous call.  Windows are independent:
+each reader advances its own without disturbing the others.
 """
 
 from __future__ import annotations

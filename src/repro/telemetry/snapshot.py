@@ -1,9 +1,9 @@
 """The one typed telemetry accessor: :class:`TelemetrySnapshot`.
 
 ``build_snapshot(controller)`` folds the per-instance scan counters, the
-stress monitor's calibrated ns/byte baselines, the whole
-``MetricsRegistry.snapshot()`` and the fault-event history into one frozen
-:class:`TelemetrySnapshot`, reachable as ``controller.telemetry_snapshot()``.
+whole ``MetricsRegistry.snapshot()`` and the fault-event history into one
+frozen :class:`TelemetrySnapshot`, reachable as
+``controller.telemetry_snapshot()``.
 
 :class:`FaultEvent` also lives here: it is the record type
 :meth:`~repro.telemetry.TelemetryHub.record_fault` appends for every
@@ -64,8 +64,6 @@ class TelemetrySnapshot:
     instances: Mapping[str, "InstanceTelemetrySnapshot"]
     #: per-instance liveness (False while crashed)
     alive: Mapping[str, bool]
-    #: MCA² calibrated ns/byte baselines (empty without a stress monitor)
-    baselines: Mapping[str, float]
     #: the full metrics registry (``MetricsRegistry.snapshot()``'s payload)
     metrics: RegistrySnapshot
     #: every fault event recorded so far, in injection order
@@ -75,8 +73,6 @@ class TelemetrySnapshot:
 def build_snapshot(controller: "DPIController") -> TelemetrySnapshot:
     """The controller's unified telemetry view, frozen at the hub clock."""
     hub = controller.telemetry
-    monitor = getattr(controller, "stress_monitor", None)
-    baselines = dict(monitor._baselines) if monitor is not None else {}
     return TelemetrySnapshot(
         ts=hub.now(),
         instances={
@@ -87,7 +83,6 @@ def build_snapshot(controller: "DPIController") -> TelemetrySnapshot:
             name: instance.alive
             for name, instance in controller.instances.items()
         },
-        baselines=baselines,
         metrics=hub.registry.snapshot(),
         faults=tuple(hub.faults),
     )

@@ -409,68 +409,6 @@ class TestMiddlebox:
         assert ("flow-3", 300) in pairs
 
 
-def build_stateful_controller():
-    """A controller whose middlebox keeps per-flow scan state (migratable)."""
-    from repro.core.controller import DPIController
-    from repro.core.messages import (
-        AddPatternsMessage,
-        RegisterMiddleboxMessage,
-    )
-    from repro.core.patterns import Pattern
-    from repro.net.steering import PolicyChain
-
-    controller = DPIController()
-    controller.handle_message(
-        RegisterMiddleboxMessage(middlebox_id=1, name="ids", stateful=True)
-    )
-    patterns = [Pattern(0, b"attack-sig"), Pattern(1, b"malware")]
-    controller.handle_message(AddPatternsMessage(1, patterns))
-    controller.policy_chains_changed(
-        {"c": PolicyChain("c", ("ids",), chain_id=100)}
-    )
-    return controller
-
-
-class TestStressMonitorSteering:
-    def test_mitigate_anomalous_migrates_flows(self):
-        from repro.core.mca2 import StressMonitor
-
-        controller = build_stateful_controller()
-        instance = controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller)
-        for index in range(6):
-            instance.inspect(
-                b"GET /index.html HTTP/1.1\r\n",
-                chain_id=100,
-                flow_key=f"flow-{index % 2}",
-            )
-        migrated = []
-        monitor.on_flow_migrated = lambda flow, target: migrated.append(flow)
-        action = monitor.mitigate_anomalous("dpi-1", ["flow-0", "flow-1"])
-        assert action.dedicated_created
-        assert set(action.migrated_flows) == {"flow-0", "flow-1"}
-        assert set(migrated) == {"flow-0", "flow-1"}
-        dedicated = controller.instances[action.dedicated_instance]
-        for flow_key in action.migrated_flows:
-            assert dedicated.export_flow(flow_key) is not None
-        registry = controller.telemetry.registry
-        assert (
-            registry.value(
-                "mca2_anomaly_mitigations_total", instance="dpi-1"
-            )
-            == 1
-        )
-
-    def test_mitigate_anomalous_skips_unknown_flows(self):
-        from repro.core.mca2 import StressMonitor
-
-        controller = build_stateful_controller()
-        controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller)
-        action = monitor.mitigate_anomalous("dpi-1", ["never-seen"])
-        assert action.migrated_flows == ()
-
-
 class TestLoadDriverEndToEnd:
     def test_detection_floor_on_seeded_mix(self):
         from repro.bench.anomaly import detection_quality

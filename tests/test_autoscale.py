@@ -141,6 +141,27 @@ class TestIsolationPolicy:
     def test_holds_without_heavy_flow(self):
         assert IsolationPolicy().decide(signals()).action == "hold"
 
+    def test_flagged_flow_wins_over_heavy_hitter(self):
+        decision = IsolationPolicy(heavy_share_threshold=0.3).decide(
+            signals(
+                heavy_flow=17,
+                heavy_share=0.9,
+                heavy_chain=CHAIN_FLOOD,
+                anomalous_flows=((5, 200), (9, 200)),
+            )
+        )
+        assert decision.action == "isolate"
+        assert (decision.flow_key, decision.chain_id) == (5, 200)
+        assert "anomalous" in decision.reason
+
+    def test_isolate_anomalous_false_ignores_flagged_flows(self):
+        policy = IsolationPolicy(isolate_anomalous=False)
+        assert policy.decide(signals(anomalous_flows=((5, 200),))).action == "hold"
+        decision = policy.decide(
+            signals(anomalous_flows=((5, 200),), heavy_flow=17, heavy_share=0.9)
+        )
+        assert decision.flow_key == 17
+
 
 class TestBuildPolicies:
     def test_known_stacks(self):
@@ -245,6 +266,19 @@ class TestAutoscaler:
             epoch=1, heavy_flow=42, heavy_share=0.7, heavy_chain=CHAIN_FLOOD
         )
         assert again == []
+
+    def test_isolate_now_pins_flagged_flow_to_a_chain_scoped_instance(self):
+        controller, autoscaler = build_system(policies=[IsolationPolicy()])
+        events = autoscaler.isolate_now(
+            epoch=0, anomalous_flows=((7, CHAIN_FLOOD),)
+        )
+        assert [event.action for event in events] == ["isolate"]
+        name = events[0].instance
+        assert autoscaler.pins == {7: name}
+        assert controller.instances.is_dedicated(name)
+        assert controller.instances.chain_filter_of(name) == (CHAIN_FLOOD,)
+        assert set(controller.instances[name].scanner.chain_map) == {CHAIN_FLOOD}
+        assert name not in autoscaler.shared_alive()
 
     def test_windowed_p99_resets_between_ticks(self):
         controller, autoscaler = build_system()

@@ -1,15 +1,9 @@
-"""Unit tests for deployment planning (Section 4.3)."""
+"""Unit tests for chain grouping, the instance-placement half of
+deployment planning (Section 4.3)."""
 
 import pytest
 
-from repro.core.deployment import (
-    DecisionKind,
-    DeploymentPlanner,
-    LoadSample,
-    group_chains_by_similarity,
-    group_chains_by_traffic_class,
-    jaccard_similarity,
-)
+from repro.core.lifecycle import group_chains_by_similarity, jaccard_similarity
 
 
 class TestSimilarity:
@@ -63,74 +57,3 @@ class TestChainGrouping:
     def test_invalid_max_groups(self):
         with pytest.raises(ValueError):
             group_chains_by_similarity(self.CHAINS, max_groups=0)
-
-    def test_group_by_traffic_class(self):
-        groups = group_chains_by_traffic_class(
-            {100: "http", 101: "ftp", 102: "http"}
-        )
-        assert groups == {"http": [100, 102], "ftp": [101]}
-
-
-class TestPlanner:
-    def _sample(self, name, utilization):
-        return LoadSample(
-            instance_name=name,
-            bytes_scanned=1000,
-            scan_seconds=utilization,
-            window_seconds=1.0,
-        )
-
-    def test_no_samples_no_decisions(self):
-        assert DeploymentPlanner().plan([]) == []
-
-    def test_balanced_load_no_decisions(self):
-        planner = DeploymentPlanner()
-        decisions = planner.plan([self._sample("a", 0.5), self._sample("b", 0.5)])
-        assert decisions == []
-
-    def test_overload_with_spare_migrates(self):
-        planner = DeploymentPlanner()
-        decisions = planner.plan([self._sample("hot", 0.95), self._sample("cold", 0.05)])
-        assert len(decisions) == 1
-        decision = decisions[0]
-        assert decision.kind is DecisionKind.MIGRATE_FLOWS
-        assert decision.instance_name == "hot"
-        assert decision.target_instance == "cold"
-
-    def test_overload_without_spare_scales_out(self):
-        planner = DeploymentPlanner()
-        decisions = planner.plan([self._sample("hot", 0.95), self._sample("warm", 0.6)])
-        assert decisions == [
-            d for d in decisions if d.kind is DecisionKind.SCALE_OUT
-        ]
-        assert decisions[0].instance_name == "hot"
-
-    def test_idle_instances_scaled_in_but_not_last(self):
-        planner = DeploymentPlanner()
-        decisions = planner.plan([self._sample("idle1", 0.01), self._sample("idle2", 0.02)])
-        kinds = [d.kind for d in decisions]
-        assert kinds.count(DecisionKind.SCALE_IN) == 1
-
-    def test_single_idle_instance_kept(self):
-        planner = DeploymentPlanner()
-        assert planner.plan([self._sample("only", 0.0)]) == []
-
-    def test_migration_target_not_scaled_in(self):
-        planner = DeploymentPlanner()
-        decisions = planner.plan(
-            [self._sample("hot", 0.99), self._sample("cold", 0.01)]
-        )
-        scale_ins = [d for d in decisions if d.kind is DecisionKind.SCALE_IN]
-        assert all(d.instance_name != "cold" for d in scale_ins)
-
-    def test_utilization_property(self):
-        sample = LoadSample("x", 100, 0.25, 1.0)
-        assert sample.utilization == 0.25
-        zero_window = LoadSample("x", 100, 0.25, 0.0)
-        assert zero_window.utilization == 0.0
-
-    def test_history_recorded(self):
-        planner = DeploymentPlanner()
-        planner.plan([self._sample("a", 0.5)])
-        planner.plan([self._sample("a", 0.6)])
-        assert len(planner.history) == 2

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro.faults import FaultPlan, run_chaos_scenario
+from repro.load import LoadSpec, RampSchedule
+from repro.load.driver import run_load_scenario
 from repro.telemetry.digest import deterministic_digest
 from repro.telemetry.scenario import run_figure5_scenario
 
@@ -33,3 +35,21 @@ def test_figure5_digest(kernel):
 def test_chaos_plan_basic_digest(kernel):
     result = run_chaos_scenario(FaultPlan.load(PLAN), kernel=kernel)
     assert result.digest == CHAOS_PLAN_BASIC
+
+
+LOAD_SMOKE = "5145377ddfa8b976924020b56d36b1d7d91b5d994a1e10227e189026c5ce0c49"
+LOAD_ANOMALY = "6713be55d4cc76abffe43156a5fd2ebca780030b91a0c40f2bfb905c09424739"
+
+
+def test_load_smoke_digest():
+    """CI's ``load-smoke`` spec under the default autoscaler stack."""
+    spec = LoadSpec(
+        profile_mix="mixed", flows=2000, epochs=10, ramp=RampSchedule(kind="linear")
+    )
+    assert run_load_scenario(spec, autoscale=True).digest == LOAD_SMOKE
+
+
+def test_load_anomaly_digest():
+    spec = LoadSpec(profile_mix="mixed", flows=600, epochs=6)
+    result = run_load_scenario(spec, autoscale=True, anomaly=True)
+    assert result.digest == LOAD_ANOMALY

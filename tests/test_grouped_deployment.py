@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.controller import DPIController
-from repro.core.deployment import DecisionKind, DeploymentPlanner
 from repro.core.messages import AddPatternsMessage, RegisterMiddleboxMessage
 from repro.core.patterns import Pattern
 from repro.net.steering import PolicyChain
@@ -81,44 +80,3 @@ class TestDeployGrouped:
         controller = DPIController()
         with pytest.raises(ValueError):
             controller.instances.plan_groups(max_groups=2)
-
-
-class TestLoadDrivenPlanning:
-    def test_load_samples_window_deltas(self):
-        controller = build_controller()
-        controller.instances.plan_groups(max_groups=2)
-        names = sorted(controller.instances)
-        first = controller.load_samples(window_seconds=1.0)
-        assert {s.instance_name for s in first} == set(names)
-        # Generate some load on one instance.
-        hot = controller.instances[names[0]]
-        chain_id = next(iter(hot.scanner.chain_map))
-        for _ in range(10):
-            hot.inspect(b"x" * 2000, chain_id=chain_id)
-        second = {s.instance_name: s for s in controller.load_samples(1.0)}
-        assert second[names[0]].bytes_scanned == 20000
-        assert second[names[1]].bytes_scanned == 0
-
-    def test_planner_consumes_controller_samples(self):
-        controller = build_controller()
-        controller.instances.plan_groups(max_groups=2)
-        names = sorted(controller.instances)
-        hot = controller.instances[names[0]]
-        chain_id = next(iter(hot.scanner.chain_map))
-        for _ in range(5):
-            hot.inspect(b"y" * 1000, chain_id=chain_id)
-        # A tiny window makes the busy instance look saturated.
-        samples = controller.load_samples(window_seconds=1e-9)
-        planner = DeploymentPlanner()
-        decisions = planner.plan(samples)
-        assert decisions
-        assert decisions[0].instance_name == names[0]
-        assert decisions[0].kind in (
-            DecisionKind.MIGRATE_FLOWS,
-            DecisionKind.SCALE_OUT,
-        )
-
-    def test_invalid_window(self):
-        controller = build_controller()
-        with pytest.raises(ValueError):
-            controller.load_samples(0)

@@ -223,7 +223,6 @@ class TestTelemetrySnapshot:
         assert isinstance(snapshot, TelemetrySnapshot)
         assert snapshot.instances["dpi-1"]["packets_scanned"] == 1
         assert snapshot.alive == {"dpi-1": True}
-        assert snapshot.baselines == {}
         assert snapshot.faults == ()
         metrics = {m["name"] for m in snapshot.metrics["metrics"]}
         assert "dpi_bytes_scanned_total" in metrics
@@ -311,6 +310,20 @@ class TestMigrateFlowContract:
         source.crash()
         with pytest.raises(InstanceUnavailableError):
             controller.migrate_flow("f1", "dpi-1", "dpi-2")
+
+    def test_migrating_onto_itself_raises_and_keeps_state(self):
+        """Regression: source == target exported, imported, then dropped
+        the state it had just written, so a signature split across the call
+        was never found."""
+        controller = make_controller()
+        controller.add_patterns(1, [Pattern(1, b"signature!")])
+        instance = controller.instances.provision("dpi-1")
+        instance.inspect(b"xxxxsigna", chain_id=CHAIN, flow_key="f")
+        with pytest.raises(ValueError, match="its own instance"):
+            controller.migrate_flow("f", "dpi-1", "dpi-1")
+        assert instance.export_flow("f") is not None
+        output = instance.inspect(b"ture!yyy", chain_id=CHAIN, flow_key="f")
+        assert [pid for pid, _ in output.matches[1]] == [1]
 
     def test_no_flow_state_returns_false(self):
         controller = make_controller()

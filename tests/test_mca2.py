@@ -1,12 +1,22 @@
-"""Unit and integration tests for MCA^2-style robustness (Section 4.3.1)."""
+"""Unit and integration tests for MCA^2-style robustness (Section 4.3.1):
+the autoscaler's stress policy and its migrate action."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.autoscale import Autoscaler, IsolationPolicy, StressPolicy
 from repro.core.controller import DPIController
-from repro.core.mca2 import StressEvent, StressMonitor
+from repro.core.instance import DPIServiceInstance
 from repro.core.messages import AddPatternsMessage, RegisterMiddleboxMessage
 from repro.core.patterns import Pattern
 from repro.net.steering import PolicyChain
+from repro.telemetry.digest import deterministic_digest
 from repro.workloads.attacks import (
     heavy_payload,
     match_flood_payload,
@@ -16,12 +26,18 @@ from repro.workloads.patterns import generate_snort_like
 from repro.workloads.traffic import TrafficGenerator
 
 CHAIN = 100
+REPO = Path(__file__).resolve().parents[1]
+#: ``scenario_digest`` of ``run_mca2_scenario``: it moves if a stress
+#: verdict, a migration or anything the run records changes.
+MCA2_SCENARIO_DIGEST = (
+    "3bdf934e80fed011f9e8518baa08f91474cda9d1213b86bc4c7ca2207e8f71a4"
+)
 
 
-def build_controller(patterns):
+def build_controller(patterns, stateful=True):
     controller = DPIController()
     controller.handle_message(
-        RegisterMiddleboxMessage(middlebox_id=1, name="ids", stateful=True)
+        RegisterMiddleboxMessage(middlebox_id=1, name="ids", stateful=stateful)
     )
     controller.handle_message(
         AddPatternsMessage(
@@ -97,123 +113,265 @@ class TestAttackWorkloads:
         assert cost(attack, "attack") > cost(benign, "benign") * 1.2
 
 
-class TestStressMonitor:
-    def _warm(self, controller, instance, patterns, packets=30):
-        generator = TrafficGenerator(seed=9)
-        for index in range(packets):
-            instance.inspect(
-                generator.benign_payload(800), chain_id=CHAIN, flow_key=f"benign-{index}"
-            )
+SIGNATURE = b"signature!"
 
+
+class Mca2System:
+    """One shared instance under an autoscaler whose only policy is the
+    stress policy.  Packets go to their flow's pinned instance, else to
+    ``dpi-1``, as the load driver and the TSA steer them; a reference
+    instance outside the controller scans every packet too."""
+
+    def __init__(self, patterns, *, stateful=True, policies=None, **stress):
+        self.controller = build_controller(patterns, stateful=stateful)
+        self.controller.instances.provision("dpi-1")
+        self.reference = DPIServiceInstance(
+            self.controller.instances.build_config(), name="reference"
+        )
+        self.stress = StressPolicy(**stress)
+        self.autoscaler = Autoscaler(
+            self.controller,
+            rate_bytes_per_second=1e6,
+            epoch_seconds=1.0,
+            slo_seconds=0.05,
+            policies=policies if policies is not None else [self.stress],
+        )
+        self.routed: dict = {}
+        self.expected: dict = {}
+
+    def send(self, payload, flow_key):
+        name = self.autoscaler.pins.get(flow_key, "dpi-1")
+        output = self.controller.instances[name].inspect(
+            payload, chain_id=CHAIN, flow_key=flow_key
+        )
+        reference = self.reference.inspect(payload, chain_id=CHAIN, flow_key=flow_key)
+        self.routed.setdefault(flow_key, []).append(output.matches)
+        self.expected.setdefault(flow_key, []).append(reference.matches)
+        return output
+
+    def benign(self, packets, seed=9, flows=8):
+        generator = TrafficGenerator(seed=seed)
+        for index in range(packets):
+            self.send(generator.benign_payload(800), f"user-{index % flows}")
+
+    def pinned_by(self, event):
+        return sorted(k for k, v in self.autoscaler.pins.items() if v == event.instance)
+
+
+@pytest.fixture(scope="module")
+def flood(snort_patterns):
+    return match_flood_payload(snort_patterns, 2000)
+
+
+def run_mca2_scenario():
+    """§4.3.1 end to end: calibrate on benign traffic, flood three flows,
+    migrate them mid-stream (one with a signature straddling the migration
+    point), finish the attack on the dedicated instance."""
+    patterns = generate_snort_like(count=150, seed=3)
+    system = Mca2System(patterns + [SIGNATURE], threshold_factor=1.5)
+    system.benign(40)
+    calibration = system.autoscaler.tick(epoch=0)
+    attack = match_flood_payload(patterns, 2000)
+    for index in range(12):
+        system.send(attack, f"attacker-{index % 3}")
+    system.benign(8, seed=10)
+    system.send(b"xxxxsigna", "attacker-0")
+    migration = system.autoscaler.tick(epoch=1)
+    straddle = system.send(b"ture!yyy", "attacker-0")
+    for index in range(6):
+        system.send(attack, f"attacker-{index % 3}")
+    system.benign(8, seed=11)
+    after = system.autoscaler.tick(epoch=2)
+    return system, (calibration, migration, after), straddle
+
+
+def scenario_digest(system):
+    """The telemetry digest plus the autoscaler's events without ``time``."""
+    events = [
+        [event.epoch, event.action, event.instance, event.reason]
+        for event in system.autoscaler.events
+    ]
+    material = [deterministic_digest(system.controller.telemetry), events]
+    return hashlib.sha256(json.dumps(material).encode()).hexdigest()
+
+
+def mca2_scenario_digest():
+    system, _, _ = run_mca2_scenario()
+    return scenario_digest(system)
+
+
+class TestStressPolicy:
     def test_calibration_records_baseline(self, snort_patterns):
-        controller = build_controller(snort_patterns)
-        instance = controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller)
-        self._warm(controller, instance, snort_patterns)
-        baselines = monitor.calibrate()
-        assert "dpi-1" in baselines
-        assert baselines["dpi-1"] > 0
+        system = Mca2System(snort_patterns)
+        system.benign(30)
+        assert system.autoscaler.tick(epoch=0) == []
+        # Benign traffic carries no match: one work unit per scanned byte.
+        assert system.stress.baselines == {"dpi-1": 1.0}
 
     def test_no_stress_under_benign_traffic(self, snort_patterns):
-        controller = build_controller(snort_patterns)
-        instance = controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller, threshold_factor=3.0)
-        self._warm(controller, instance, snort_patterns)
-        monitor.calibrate()
-        self._warm(controller, instance, snort_patterns)
-        assert monitor.observe() == []
+        system = Mca2System(snort_patterns, threshold_factor=1.5)
+        system.benign(30)
+        system.autoscaler.tick(epoch=0)
+        system.benign(30, seed=10)
+        assert system.autoscaler.tick(epoch=1) == []
+        assert system.autoscaler.pins == {}
 
-    def test_attack_detected_and_mitigated(self, snort_patterns):
-        controller = build_controller(snort_patterns)
-        instance = controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller, threshold_factor=1.5)
-        self._warm(controller, instance, snort_patterns, packets=40)
-        monitor.calibrate()
-        # Attack: a few flows sending complexity-attack payloads.
-        attack = match_flood_payload(snort_patterns, 3000)
+    def test_attack_detected_and_mitigated(self, snort_patterns, flood):
+        system = Mca2System(snort_patterns, threshold_factor=1.5)
+        system.benign(40)
+        system.autoscaler.tick(epoch=0)
         for index in range(15):
-            instance.inspect(attack, chain_id=CHAIN, flow_key=f"attacker-{index % 3}")
-        events = monitor.observe()
-        assert events, "stress not detected"
-        assert events[0].stress_factor > 1.5
-        action = monitor.mitigate(events[0])
-        assert action.dedicated_created
-        assert action.migrated_flows
-        # Migrated flows now live on the dedicated instance.
-        dedicated = controller.instances[action.dedicated_instance]
-        for flow_key in action.migrated_flows:
-            assert dedicated.export_flow(flow_key) is not None
-        assert dedicated.config.layout == "full"
+            system.send(flood, f"attacker-{index % 3}")
+        (event,) = system.autoscaler.tick(epoch=1)
+        assert event.action == "migrate"
+        assert event.reason.startswith("dpi-1 work ")
+        manager = system.controller.instances
+        assert manager.is_dedicated(event.instance)
+        assert manager[event.instance].config.layout == "full"
+        assert system.pinned_by(event) == ["attacker-0", "attacker-1", "attacker-2"]
+        for flow_key in system.pinned_by(event):
+            assert manager[event.instance].export_flow(flow_key) is not None
+            assert manager["dpi-1"].export_flow(flow_key) is None
+        registry = system.controller.telemetry.registry
+        assert registry.value("autoscale_actions_total", action="migrate") == 1
 
-    def test_consecutive_mitigations_divert_different_flows(self, snort_patterns):
+    def test_consecutive_mitigations_divert_different_flows(
+        self, snort_patterns, flood
+    ):
         """A migrated flow leaves the source's heavy-flow ranking: the next
-        mitigation of the same instance moves the next-heaviest flows, not
-        nothing (it used to be handed the flows it had just given away)."""
-        controller = build_controller(snort_patterns)
-        instance = controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller, heavy_flows_per_mitigation=3)
-        attack = match_flood_payload(snort_patterns, 1500)
+        stress window moves the next-heaviest flows, not the ones it has
+        already given away."""
+        system = Mca2System(snort_patterns, threshold_factor=1.5)
+        system.benign(40)
+        system.autoscaler.tick(epoch=0)
         for index in range(8):
-            for _ in range(1 + index % 3):
-                instance.inspect(attack, chain_id=CHAIN, flow_key=f"attacker-{index}")
-        event = StressEvent("dpi-1", ns_per_byte=10.0, baseline_ns_per_byte=1.0)
-        first = monitor.mitigate(event)
-        second = monitor.mitigate(event)
-        assert len(first.migrated_flows) == len(second.migrated_flows) == 3
-        assert not set(first.migrated_flows) & set(second.migrated_flows)
-        remaining = {key for key, _ in instance.heavy_flows(top=8)}
-        assert len(remaining) == 2
-        assert not remaining & set(first.migrated_flows + second.migrated_flows)
+            for _ in range(8 - index):
+                system.send(flood, f"attacker-{index}")
+        (first,) = system.autoscaler.tick(epoch=1)
+        moved_first = system.pinned_by(first)
+        assert moved_first == ["attacker-0", "attacker-1", "attacker-2"]
+        for index in range(8):
+            system.send(flood, f"attacker-{index}")
+        (second,) = system.autoscaler.tick(epoch=2)
+        assert second.instance == first.instance
+        moved_second = sorted(set(system.pinned_by(second)) - set(moved_first))
+        assert moved_second == ["attacker-3", "attacker-4", "attacker-5"]
+        source = system.controller.instances["dpi-1"]
+        remaining = {key for key, _ in source.heavy_flows(top=20)}
+        assert {"attacker-6", "attacker-7"} <= remaining
+        assert not remaining & set(moved_first + moved_second)
 
-    def test_migration_callback_invoked(self, snort_patterns):
-        controller = build_controller(snort_patterns)
-        instance = controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller, threshold_factor=1.2)
-        self._warm(controller, instance, snort_patterns, packets=40)
-        monitor.calibrate()
-        attack = match_flood_payload(snort_patterns, 3000)
-        for _ in range(15):
-            instance.inspect(attack, chain_id=CHAIN, flow_key="attacker")
-        steering_calls = []
-        monitor.on_flow_migrated = lambda flow, target: steering_calls.append(
-            (flow, target)
+    def test_migrated_flows_are_pinned(self, snort_patterns, flood):
+        system = Mca2System(snort_patterns, threshold_factor=1.5)
+        system.benign(40)
+        system.autoscaler.tick(epoch=0)
+        for index in range(9):
+            system.send(flood, f"attacker-{index % 3}")
+        (event,) = system.autoscaler.tick(epoch=1)
+        assert system.autoscaler.pins == {
+            f"attacker-{index}": event.instance for index in range(3)
+        }
+        before = system.controller.instances[event.instance].telemetry.packets_scanned
+        system.send(flood, "attacker-1")
+        after = system.controller.instances[event.instance].telemetry.packets_scanned
+        assert after == before + 1
+
+    def test_dedicated_instance_reused(self, snort_patterns, flood):
+        system = Mca2System(snort_patterns, threshold_factor=1.5)
+        system.benign(40)
+        system.autoscaler.tick(epoch=0)
+        events = []
+        for epoch in (1, 2):
+            for index in range(6):
+                system.send(flood, f"attacker-{epoch}-{index % 3}")
+            events += system.autoscaler.tick(epoch=epoch)
+        assert [event.action for event in events] == ["migrate", "migrate"]
+        assert events[0].instance == events[1].instance
+        assert system.controller.instances.dedicated_names() == [events[0].instance]
+
+    def test_stateless_flows_are_pinned_and_forgotten(self, snort_patterns, flood):
+        """A stateless chain's flows hold no scan state to move; migrating
+        them pins them and drops their work from the source."""
+        system = Mca2System(snort_patterns, stateful=False, threshold_factor=1.5)
+        system.benign(40)
+        system.autoscaler.tick(epoch=0)
+        for index in range(9):
+            system.send(flood, f"attacker-{index % 3}")
+        (event,) = system.autoscaler.tick(epoch=1)
+        assert system.pinned_by(event) == ["attacker-0", "attacker-1", "attacker-2"]
+        source = system.controller.instances["dpi-1"]
+        assert not {"attacker-0", "attacker-1", "attacker-2"} & set(
+            source.telemetry.flow_work
         )
-        actions = monitor.observe_and_mitigate()
-        if actions and actions[0].migrated_flows:
-            assert steering_calls
 
-    def test_dedicated_instance_reused(self, snort_patterns):
-        controller = build_controller(snort_patterns)
-        instance = controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller, threshold_factor=1.2)
-        self._warm(controller, instance, snort_patterns, packets=40)
-        monitor.calibrate()
-        attack = match_flood_payload(snort_patterns, 3000)
-        for _ in range(15):
-            instance.inspect(attack, chain_id=CHAIN, flow_key="attacker")
-        events = monitor.observe()
-        assert events
-        first = monitor.mitigate(events[0])
-        second = monitor.mitigate(events[0])
-        assert first.dedicated_instance == second.dedicated_instance
-        assert not second.dedicated_created
+    def test_isolated_flow_is_not_migrated_again(self, snort_patterns, flood):
+        """A flow the isolation policy already pinned keeps its pin; the
+        stale work it left on the source is dropped, not migrated."""
+        stress = StressPolicy(threshold_factor=1.5)
+        system = Mca2System(
+            snort_patterns, policies=[IsolationPolicy(), stress]
+        )
+        system.benign(40)
+        system.autoscaler.tick(epoch=0)
+        for index in range(12):
+            system.send(flood, f"attacker-{index % 4}")
+        (isolated,) = system.autoscaler.isolate_now(
+            epoch=1, anomalous_flows=(("attacker-0", CHAIN),)
+        )
+        (event,) = system.autoscaler.tick(epoch=1)
+        assert event.action == "migrate"
+        assert system.autoscaler.pins["attacker-0"] == isolated.instance
+        assert system.pinned_by(event) == ["attacker-1", "attacker-2"]
+        source = system.controller.instances["dpi-1"]
+        assert "attacker-0" not in source.telemetry.flow_work
 
-    def test_deallocate_dedicated(self, snort_patterns):
-        controller = build_controller(snort_patterns)
-        instance = controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller, threshold_factor=1.2)
-        self._warm(controller, instance, snort_patterns, packets=40)
-        monitor.calibrate()
-        attack = match_flood_payload(snort_patterns, 3000)
-        for _ in range(15):
-            instance.inspect(attack, chain_id=CHAIN, flow_key="attacker")
-        for event in monitor.observe():
-            monitor.mitigate(event)
-        released = monitor.deallocate_dedicated()
-        for name in released:
-            assert name not in controller.instances
+    def test_threshold_validation(self):
+        with pytest.raises(ValueError, match="exceed 1.0"):
+            StressPolicy(threshold_factor=1.0)
 
-    def test_threshold_validation(self, snort_patterns):
-        controller = build_controller(snort_patterns)
-        with pytest.raises(ValueError):
-            StressMonitor(controller, threshold_factor=1.0)
+
+class TestMigrationLosesNoMatch:
+    def test_scenario_matches_one_instance_that_saw_everything(self):
+        system, (calibration, migration, after), straddle = run_mca2_scenario()
+        assert calibration == [] and after == []
+        (event,) = migration
+        assert event.action == "migrate"
+        assert system.controller.instances[event.instance].config.layout == "full"
+        assert system.pinned_by(event) == ["attacker-0", "attacker-1", "attacker-2"]
+        # The signature straddles the migration point and is still found.
+        signature_id = 150  # appended after the 150 Snort-like patterns
+        assert signature_id in [pid for pid, _ in straddle.matches[1]]
+        assert system.routed == system.expected
+        attack_matches = sum(
+            len(matches[1])
+            for flow, packets in system.routed.items()
+            if flow.startswith("attacker-")
+            for matches in packets
+        )
+        assert attack_matches > 0
+
+
+class TestScenarioDigest:
+    def test_stable_in_process(self):
+        assert mca2_scenario_digest() == mca2_scenario_digest()
+
+    def test_golden(self):
+        assert mca2_scenario_digest() == MCA2_SCENARIO_DIGEST
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_independent_of_hash_seed(self, hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from tests.test_mca2 import mca2_scenario_digest as d; print(d())",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        assert completed.stdout.strip() == MCA2_SCENARIO_DIGEST

@@ -1,14 +1,15 @@
-"""StressMonitor edge cases driven through registry-backed load samples.
+"""Stress-policy edge cases driven through the registry's instance counters.
 
-The monitor reads per-instance load from the controller's metrics registry,
-so these tests feed it synthetic counter increments instead of wall-clock
-scans: load levels are exact and the tests are fully deterministic.
+The autoscaler reads each shared instance's window of scanned bytes and
+matches from the controller's metrics registry, so these tests feed it
+synthetic counter increments instead of scans: load levels are exact and
+the tests are fully deterministic.
 """
 
 import pytest
 
+from repro.autoscale import Autoscaler, StressPolicy
 from repro.core.controller import DPIController
-from repro.core.mca2 import StressMonitor
 from repro.core.messages import AddPatternsMessage, RegisterMiddleboxMessage
 from repro.core.patterns import Pattern
 from repro.net.steering import PolicyChain
@@ -28,126 +29,106 @@ def controller():
     controller.policy_chains_changed(
         {"c": PolicyChain("c", ("ids",), chain_id=CHAIN)}
     )
+    controller.instances.provision("dpi-1")
     return controller
 
 
-def push_load(controller, name, bytes_scanned, ns_per_byte):
+def stress_loop(controller, **stress):
+    policy = StressPolicy(**stress)
+    autoscaler = Autoscaler(
+        controller,
+        rate_bytes_per_second=1e6,
+        epoch_seconds=1.0,
+        slo_seconds=0.05,
+        policies=[policy],
+    )
+    return policy, autoscaler
+
+
+def push_load(controller, name, bytes_scanned, matches):
     """Synthesise one window of load for *name* in the registry."""
     registry = controller.telemetry.registry
     registry.counter("dpi_bytes_scanned_total", instance=name).inc(bytes_scanned)
-    registry.counter("dpi_scan_seconds_total", instance=name).inc(
-        bytes_scanned * ns_per_byte / 1e9
-    )
+    registry.counter("dpi_matches_total", instance=name).inc(matches)
 
 
 class TestObserveAndMitigateEdgeCases:
     def test_empty_window_produces_no_events(self, controller):
-        controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller)
-        assert monitor.calibrate() == {}
-        assert monitor.observe_and_mitigate() == []
-        assert monitor.events == []
+        policy, autoscaler = stress_loop(controller)
+        assert autoscaler.tick(epoch=0) == []
+        assert policy.baselines == {}
         assert controller.telemetry.registry.value(
-            "mca2_stress_events_total", instance="dpi-1", default=None
+            "autoscale_actions_total", action="migrate", default=None
         ) is None
 
     def test_window_below_minimum_bytes_is_ignored(self, controller):
-        controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller, min_window_bytes=1024)
-        push_load(controller, "dpi-1", bytes_scanned=4096, ns_per_byte=10.0)
-        assert "dpi-1" in monitor.calibrate()
-        # Tiny stressed window: 100 bytes at 100x the baseline cost.
-        push_load(controller, "dpi-1", bytes_scanned=100, ns_per_byte=1000.0)
-        assert monitor.observe_and_mitigate() == []
+        policy, autoscaler = stress_loop(controller, min_window_bytes=1024)
+        push_load(controller, "dpi-1", bytes_scanned=4096, matches=0)
+        autoscaler.tick(epoch=0)
+        assert policy.baselines == {"dpi-1": 1.0}
+        # Tiny stressed window: 100 bytes carrying a match every byte.
+        push_load(controller, "dpi-1", bytes_scanned=100, matches=100)
+        assert autoscaler.tick(epoch=1) == []
 
     def test_stress_detected_from_registry_counters(self, controller):
-        controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller, threshold_factor=2.0)
-        push_load(controller, "dpi-1", bytes_scanned=10_000, ns_per_byte=10.0)
-        baselines = monitor.calibrate()
-        assert baselines["dpi-1"] == pytest.approx(10.0)
-        push_load(controller, "dpi-1", bytes_scanned=10_000, ns_per_byte=1000.0)
-        events = monitor.observe()
-        assert len(events) == 1
-        assert events[0].ns_per_byte == pytest.approx(1000.0)
-        assert events[0].stress_factor == pytest.approx(100.0)
+        policy, autoscaler = stress_loop(controller, threshold_factor=2.0)
+        push_load(controller, "dpi-1", bytes_scanned=10_000, matches=0)
+        assert autoscaler.tick(epoch=0) == []
+        # 500 matches at 40 work units each: 3 units per byte, 3x baseline.
+        push_load(controller, "dpi-1", bytes_scanned=10_000, matches=500)
+        (event,) = autoscaler.tick(epoch=1)
+        assert event.action == "migrate"
+        assert "work 3.00/B is 3.0x its baseline 1.00/B" in event.reason
         registry = controller.telemetry.registry
-        assert registry.value("mca2_stress_events_total", instance="dpi-1") == 1
+        assert registry.value("autoscale_actions_total", action="migrate") == 1
 
     def test_dedicated_instance_reused_across_rounds(self, controller):
-        controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller, threshold_factor=2.0)
-        push_load(controller, "dpi-1", bytes_scanned=10_000, ns_per_byte=10.0)
-        monitor.calibrate()
+        _, autoscaler = stress_loop(controller, threshold_factor=2.0)
+        push_load(controller, "dpi-1", bytes_scanned=10_000, matches=0)
+        autoscaler.tick(epoch=0)
 
-        push_load(controller, "dpi-1", bytes_scanned=10_000, ns_per_byte=500.0)
-        first_round = monitor.observe_and_mitigate()
-        assert len(first_round) == 1
-        assert first_round[0].dedicated_created
-        dedicated = first_round[0].dedicated_instance
-        assert controller.instances[dedicated].config.layout == "full"
+        push_load(controller, "dpi-1", bytes_scanned=10_000, matches=1000)
+        (first,) = autoscaler.tick(epoch=1)
+        assert controller.instances[first.instance].config.layout == "full"
 
-        push_load(controller, "dpi-1", bytes_scanned=10_000, ns_per_byte=500.0)
-        second_round = monitor.observe_and_mitigate()
-        assert len(second_round) == 1
-        assert not second_round[0].dedicated_created
-        assert second_round[0].dedicated_instance == dedicated
-
+        push_load(controller, "dpi-1", bytes_scanned=10_000, matches=1000)
+        (second,) = autoscaler.tick(epoch=2)
+        assert second.instance == first.instance
+        assert controller.instances.dedicated_names() == [first.instance]
         registry = controller.telemetry.registry
-        assert registry.value("mca2_mitigations_total", instance="dpi-1") == 2
-        assert registry.value("mca2_stress_events_total", instance="dpi-1") == 2
-
-    def test_deallocation_after_load_drop(self, controller):
-        controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller, threshold_factor=2.0)
-        push_load(controller, "dpi-1", bytes_scanned=10_000, ns_per_byte=10.0)
-        monitor.calibrate()
-        push_load(controller, "dpi-1", bytes_scanned=10_000, ns_per_byte=500.0)
-        actions = monitor.observe_and_mitigate()
-        dedicated = actions[0].dedicated_instance
-        assert dedicated in controller.instances
-
-        # The attack subsides: back to baseline cost, no new events.
-        push_load(controller, "dpi-1", bytes_scanned=10_000, ns_per_byte=10.0)
-        assert monitor.observe_and_mitigate() == []
-
-        released = monitor.deallocate_dedicated()
-        assert released == [dedicated]
-        assert dedicated not in controller.instances
-        assert monitor.dedicated_instances == []
-        # Removing the instance drops its registry metrics too.
-        registry = controller.telemetry.registry
-        assert registry.get(
-            "dpi_packets_scanned_total", instance=dedicated
-        ) is None
+        assert registry.value("autoscale_actions_total", action="migrate") == 2
 
     def test_dedicated_instances_are_not_monitored(self, controller):
-        controller.instances.provision("dpi-1")
-        monitor = StressMonitor(controller, threshold_factor=2.0)
-        push_load(controller, "dpi-1", bytes_scanned=10_000, ns_per_byte=10.0)
-        monitor.calibrate()
-        push_load(controller, "dpi-1", bytes_scanned=10_000, ns_per_byte=500.0)
-        actions = monitor.observe_and_mitigate()
-        dedicated = actions[0].dedicated_instance
+        _, autoscaler = stress_loop(controller, threshold_factor=2.0)
+        push_load(controller, "dpi-1", bytes_scanned=10_000, matches=0)
+        autoscaler.tick(epoch=0)
+        push_load(controller, "dpi-1", bytes_scanned=10_000, matches=1000)
+        (event,) = autoscaler.tick(epoch=1)
         # Heavy load on the dedicated instance must never flag it.
-        push_load(controller, dedicated, bytes_scanned=50_000, ns_per_byte=900.0)
-        push_load(controller, "dpi-1", bytes_scanned=10_000, ns_per_byte=10.0)
-        assert monitor.observe_and_mitigate() == []
+        push_load(controller, event.instance, bytes_scanned=50_000, matches=9000)
+        push_load(controller, "dpi-1", bytes_scanned=10_000, matches=0)
+        assert autoscaler.tick(epoch=2) == []
 
 
-class TestRegistryBackedLoadSamples:
-    def test_load_samples_reflect_synthetic_counters(self, controller):
-        controller.instances.provision("dpi-1")
-        push_load(controller, "dpi-1", bytes_scanned=5000, ns_per_byte=20.0)
-        samples = controller.load_samples(window_seconds=1.0)
-        assert len(samples) == 1
-        sample = samples[0]
-        assert sample.instance_name == "dpi-1"
-        assert sample.bytes_scanned == 5000
-        assert sample.ns_per_byte == pytest.approx(20.0)
+class TestInstanceLoadSignal:
+    def test_windowed_per_instance_counts(self, controller):
+        controller.instances.provision("dpi-0")
+        _, autoscaler = stress_loop(controller)
+        push_load(controller, "dpi-1", bytes_scanned=5000, matches=7)
+        signals = autoscaler.observe(epoch=0)
+        assert signals.instance_load == (("dpi-0", 0, 0), ("dpi-1", 5000, 7))
         # The next window only sees what happened since.
-        samples = controller.load_samples(window_seconds=1.0)
-        assert samples[0].bytes_scanned == 0
-        push_load(controller, "dpi-1", bytes_scanned=100, ns_per_byte=20.0)
-        samples = controller.load_samples(window_seconds=1.0)
-        assert samples[0].bytes_scanned == 100
+        assert autoscaler.observe(epoch=1).instance_load == (
+            ("dpi-0", 0, 0),
+            ("dpi-1", 0, 0),
+        )
+        push_load(controller, "dpi-1", bytes_scanned=100, matches=0)
+        controller.instances["dpi-0"].crash()
+        assert autoscaler.observe(epoch=2).instance_load == (("dpi-1", 100, 0),)
+
+    def test_reading_the_feed_creates_no_metric(self, controller):
+        _, autoscaler = stress_loop(controller)
+        registry = controller.telemetry.registry
+        before = [(m.name, m.labels) for m in registry.collect()]
+        autoscaler.observe(epoch=0)
+        assert [(m.name, m.labels) for m in registry.collect()] == before

@@ -166,3 +166,19 @@ def test_src_repro_imports_no_os_resource_modules():
         "CON001/CON002 rules at b5c3ae5 "
         "(`git show b5c3ae5:src/repro/analysis/rules/resources.py`)."
     )
+
+
+#: Scan-time metrics the instance fills from ``perf_counter``.  Only their
+#: producer and ``repro-dpi report`` may name them: a decision that read
+#: them would depend on the machine and could never be pinned by a digest.
+WALL_CLOCK_METRICS = ("dpi_scan_seconds_total", "dpi_scan_latency_seconds")
+WALL_CLOCK_METRIC_FILES = {"core/instance.py", "telemetry/report.py"}
+
+
+def test_no_decision_reads_wall_clock_scan_time():
+    naming = sorted(
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if any(name in path.read_text(encoding="utf-8") for name in WALL_CLOCK_METRICS)
+    )
+    assert set(naming) <= WALL_CLOCK_METRIC_FILES, naming
