@@ -34,8 +34,7 @@ def test_ablation_accept_bitmap(benchmark, snort_corpus):
     def experiment():
         set_a, set_b = random_split(snort_corpus[:2000], parts=2, seed=4)
         automaton = CombinedAutomaton(
-            {1: to_pattern_list(set_a), 2: to_pattern_list(set_b)},
-            layout="full",
+            {1: to_pattern_list(set_a), 2: to_pattern_list(set_b)}
         )
         # Match-dense traffic built from middlebox 2's patterns, scanned for
         # a chain that only includes middlebox 1: every accepting state hit

@@ -31,7 +31,6 @@ def _instance(snort_corpus):
             pattern_sets={1: patterns},
             profiles={1: MiddleboxProfile(1, name="ids")},
             chain_map={CHAIN: (1,)},
-            layout="full",
         )
     )
 

@@ -34,7 +34,6 @@ def _make_function(snort_corpus, mode):
             pattern_sets={1: to_pattern_list(snort_corpus[:2000])},
             profiles={1: MiddleboxProfile(1, name="ids")},
             chain_map={CHAIN: (1,)},
-            layout="full",
         )
     )
     return DPIServiceFunction(instance, result_mode=mode)

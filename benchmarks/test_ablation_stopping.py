@@ -21,7 +21,7 @@ CHAIN = 1
 
 
 def _scanner(patterns, stopping_condition):
-    automaton = CombinedAutomaton({0: to_pattern_list(patterns)}, layout="full")
+    automaton = CombinedAutomaton({0: to_pattern_list(patterns)})
     profiles = {
         0: MiddleboxProfile(0, stopping_condition=stopping_condition)
     }

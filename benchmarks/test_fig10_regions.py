@@ -24,14 +24,13 @@ from benchmarks.conftest import (
 )
 
 
-def _region(set_a, set_b, trace, layout):
+def _region(set_a, set_b, trace):
     cache = CacheModel()
     automata = {
-        "a": CombinedAutomaton({1: to_pattern_list(set_a)}, layout=layout),
-        "b": CombinedAutomaton({2: to_pattern_list(set_b)}, layout=layout),
+        "a": CombinedAutomaton({1: to_pattern_list(set_a)}),
+        "b": CombinedAutomaton({2: to_pattern_list(set_b)}),
         "combined": CombinedAutomaton(
-            {1: to_pattern_list(set_a), 2: to_pattern_list(set_b)},
-            layout=layout,
+            {1: to_pattern_list(set_a), 2: to_pattern_list(set_b)}
         ),
     }
     raw = interleaved_throughput(automata, trace.payloads)
@@ -64,7 +63,7 @@ def _print_report(title, report):
 def test_fig10a_snort_split_region(benchmark, snort_corpus, http_trace):
     def experiment():
         set_a, set_b = random_split(snort_corpus, parts=2, seed=4)
-        report = _region(set_a, set_b, http_trace, layout="full")
+        report = _region(set_a, set_b, http_trace)
         _print_report("Figure 10(a): Snort1 vs Snort2 throughput regions", report)
         return report
 
@@ -84,7 +83,7 @@ def test_fig10b_snort_vs_clamav_region(
     benchmark, snort_corpus, clamav_corpus, http_trace
 ):
     def experiment():
-        report = _region(snort_corpus, clamav_corpus, http_trace, layout="sparse")
+        report = _region(snort_corpus, clamav_corpus, http_trace)
         _print_report(
             "Figure 10(b): Snort vs ClamAV throughput regions"
             + (

@@ -28,7 +28,6 @@ def _build_instance(snort_corpus):
                 2: MiddleboxProfile(2, name="av"),
             },
             chain_map={CHAIN: (1, 2)},
-            layout="full",
         )
     )
 

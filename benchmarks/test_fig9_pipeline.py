@@ -31,14 +31,13 @@ SNORT_SWEEP = [500, 1000, 2000, 4356]
 MIXED_SWEEP_FRACTIONS = [0.25, 0.5, 1.0]
 
 
-def _compare(set_a, set_b, trace, cache, layout):
+def _compare(set_a, set_b, trace, cache):
     """(pipeline Mbps, virtual-DPI Mbps) for one pattern-set pair."""
     automata = {
-        "a": CombinedAutomaton({1: to_pattern_list(set_a)}, layout=layout),
-        "b": CombinedAutomaton({2: to_pattern_list(set_b)}, layout=layout),
+        "a": CombinedAutomaton({1: to_pattern_list(set_a)}),
+        "b": CombinedAutomaton({2: to_pattern_list(set_b)}),
         "combined": CombinedAutomaton(
-            {1: to_pattern_list(set_a), 2: to_pattern_list(set_b)},
-            layout=layout,
+            {1: to_pattern_list(set_a), 2: to_pattern_list(set_b)}
         ),
     }
     raw = interleaved_throughput(automata, trace.payloads)
@@ -60,9 +59,7 @@ def test_fig9a_snort_split(benchmark, snort_corpus, http_trace):
         virtual_series = Series("Two virtual DPI instances")
         for total in SNORT_SWEEP:
             set_a, set_b = random_split(snort_corpus[:total], parts=2, seed=4)
-            baseline, virtual = _compare(
-                set_a, set_b, http_trace, cache, layout="full"
-            )
+            baseline, virtual = _compare(set_a, set_b, http_trace, cache)
             baseline_series.append(total, baseline)
             virtual_series.append(total, virtual)
         table = Table(
@@ -109,9 +106,7 @@ def test_fig9b_snort_plus_clamav(benchmark, snort_corpus, clamav_corpus, http_tr
             snort_part = snort_corpus[: int(len(snort_corpus) * fraction)]
             clam_part = clamav_corpus[: int(len(clamav_corpus) * fraction)]
             totals.append(len(snort_part) + len(clam_part))
-            baseline, virtual = _compare(
-                snort_part, clam_part, http_trace, cache, layout="sparse"
-            )
+            baseline, virtual = _compare(snort_part, clam_part, http_trace, cache)
             baseline_series.append(totals[-1], baseline)
             virtual_series.append(totals[-1], virtual)
         table = Table(

@@ -22,7 +22,7 @@ from benchmarks.conftest import run_once
 
 
 def _build_middlebox(patterns):
-    middlebox = LegacyDPIMiddlebox(middlebox_id=1, name="snort", layout="full")
+    middlebox = LegacyDPIMiddlebox(middlebox_id=1, name="snort")
     for rule_id, pattern in enumerate(patterns):
         middlebox.add_literal_rule(rule_id, pattern)
     middlebox.build_engine()

@@ -50,11 +50,10 @@ def test_table2_combined_vs_separate(benchmark, snort_corpus, http_trace):
     def experiment():
         cache = CacheModel()
         snort1, snort2 = random_split(snort_corpus, parts=2, seed=4)
-        automaton1 = CombinedAutomaton({1: to_pattern_list(snort1)}, layout="full")
-        automaton2 = CombinedAutomaton({2: to_pattern_list(snort2)}, layout="full")
+        automaton1 = CombinedAutomaton({1: to_pattern_list(snort1)})
+        automaton2 = CombinedAutomaton({2: to_pattern_list(snort2)})
         combined = CombinedAutomaton(
-            {1: to_pattern_list(snort1), 2: to_pattern_list(snort2)},
-            layout="full",
+            {1: to_pattern_list(snort1), 2: to_pattern_list(snort2)}
         )
         automata = {
             "Snort1": automaton1,

@@ -5,8 +5,8 @@ A DPI service instance is calibrated on benign traffic; an attacker then
 sends *heavy* packets (match floods) that inflate the engine's work per
 byte.  The autoscaler's stress policy — the DPI controller's one control
 loop acting as the central MCA^2 coordinator — detects it from the
-instance's byte and match counters, allocates a dedicated instance running
-the flat-cost full-table layout, and migrates the heavy flows to it.
+instance's byte and match counters, allocates a dedicated instance and
+migrates the heavy flows to it.
 
 Run:  python examples/mca2_mitigation.py
 """
@@ -80,7 +80,7 @@ if not events:
 assert event.action == "migrate", event
 print(f"\nSTRESS: {event.reason}")
 dedicated = controller.instances[event.instance]
-print(f"dedicated instance: {event.instance} (layout={dedicated.config.layout})")
+print(f"dedicated instance: {event.instance} (kernel={dedicated.config.kernel})")
 print("migrated heavy flows:")
 for flow_key, target in autoscaler.pins.items():
     print(f"  {flow_key} -> {target}")

@@ -129,6 +129,7 @@ class Autoscaler:
         self.provision_kwargs = dict(provision_kwargs or {})
         self._sequence = 0
         self._managed: list[str] = []  # shared instances we provisioned
+        self._migrate_targets: set[str] = set()  # instances a migrate provisioned
         self._offered = _CounterWatch()
         self._faults = _CounterWatch()
         self._scanned = _CounterWatch()
@@ -275,15 +276,16 @@ class Autoscaler:
 
     def _apply_migrate(self, epoch: int, decision: ScalingDecision) -> None:
         """Move the stressed instance's heaviest flows to a dedicated
-        full-table engine serving its chains, and pin them there."""
+        engine serving its chains, and pin them there.  The target is one
+        an earlier migrate provisioned (never an isolation instance)."""
         source_name = decision.instance
         chain_ids = self.manager.chain_filter_of(source_name)
         target = next(
             (
                 name
                 for name in self.manager.dedicated_names()
-                if self.manager[name].alive
-                and self.manager[name].config.layout == "full"
+                if name in self._migrate_targets
+                and self.manager[name].alive
                 and self.manager.chain_filter_of(name) == chain_ids
             ),
             None,
@@ -291,8 +293,9 @@ class Autoscaler:
         if target is None:
             target = self._next_name("mca2")
             kwargs = dict(self.provision_kwargs)
-            kwargs.update(chain_ids=chain_ids, layout="full", dedicated=True)
+            kwargs.update(chain_ids=chain_ids, dedicated=True)
             self.manager.provision(target, **kwargs)
+            self._migrate_targets.add(target)
         source = self.manager[source_name]
         moved = []
         for flow_key, _work in source.heavy_flows(top=decision.flows):

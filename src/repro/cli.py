@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from repro.core.aho_corasick import AhoCorasick
-from repro.core.kernels import KERNEL_NAMES, EngineConfigError
+from repro.core.kernels import KERNEL_NAMES
 from repro.core.patterns import Pattern, PatternKind
 from repro.core.wu_manber import WuManber
 from repro.autoscale.policies import POLICY_NAMES as LOAD_POLICY_NAMES
@@ -102,12 +102,7 @@ def _cmd_scan(args) -> int:
         from repro.core.combined import CombinedAutomaton
 
         pattern_sets = {0: [Pattern(i, data) for i, data in enumerate(literals)]}
-        automaton = CombinedAutomaton(
-            pattern_sets,
-            layout=args.layout,
-            kernel=args.kernel,
-            scan_cache_size=args.cache_size,
-        )
+        automaton = CombinedAutomaton(pattern_sets, kernel=args.kernel)
 
         def count_combined(payload):
             return sum(
@@ -133,7 +128,7 @@ def _cmd_scan(args) -> int:
     if args.engine == "ac":
         detail = f" ({args.layout})"
     elif args.engine == "combined":
-        detail = f" ({args.layout}, kernel={args.kernel})"
+        detail = f" (kernel={args.kernel})"
     print(f"engine: {args.engine}" + detail)
     print(f"packets: {len(trace)}  bytes: {trace.total_bytes}")
     print(f"matched packets: {matched_packets}  total matches: {total_matches}")
@@ -147,10 +142,7 @@ def _cmd_report(args) -> int:
     from repro.telemetry.scenario import run_figure5_scenario
 
     result = run_figure5_scenario(
-        packets=args.packets,
-        seed=args.seed,
-        kernel=args.kernel,
-        scan_cache_size=args.cache_size,
+        packets=args.packets, seed=args.seed, kernel=args.kernel
     )
     # Export before printing: a closed stdout pipe (`report | head`) must
     # not cost the caller their --jsonl / --prom files.
@@ -710,18 +702,17 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--patterns", required=True)
     scan.add_argument("--trace", required=True)
     scan.add_argument("--engine", choices=("ac", "wm", "combined"), default="ac")
-    scan.add_argument("--layout", choices=("sparse", "full"), default="sparse")
+    scan.add_argument(
+        "--layout",
+        choices=("sparse", "full"),
+        default="sparse",
+        help="DFA layout for --engine ac",
+    )
     scan.add_argument(
         "--kernel",
         choices=KERNEL_NAMES,
         default="flat",
         help="scan kernel for --engine combined",
-    )
-    scan.add_argument(
-        "--cache-size",
-        type=int,
-        default=0,
-        help="LRU scan-cache capacity for --engine combined (0 = off)",
     )
     scan.set_defaults(func=_cmd_scan)
 
@@ -733,12 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--seed", type=int, default=7)
     report.add_argument(
         "--kernel", choices=KERNEL_NAMES, default="flat"
-    )
-    report.add_argument(
-        "--cache-size",
-        type=int,
-        default=0,
-        help="LRU scan-cache capacity for the DPI instance (0 = off)",
     )
     report.add_argument("--jsonl", help="also export the JSONL event log here")
     report.add_argument(
@@ -956,10 +941,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EngineConfigError as error:
-        # A flag combination no scan engine can be built with.
-        print(f"repro-dpi: error: {error}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # Downstream pipe (e.g. `| head`) closed early; not our error.
         import os

@@ -21,12 +21,7 @@ from array import array
 from typing import Iterable, Mapping
 
 from repro.core.aho_corasick import AhoCorasick, AutomatonStats
-from repro.core.kernels import (
-    KERNEL_NAMES,
-    CombinedScanResult,
-    ScanCache,
-    make_kernel,
-)
+from repro.core.kernels import KERNEL_NAMES, CombinedScanResult, make_kernel
 from repro.core.patterns import Pattern, PatternKind
 
 __all__ = ["CombinedAutomaton", "CombinedScanResult"]
@@ -37,18 +32,15 @@ class CombinedAutomaton:
 
     ``kernel`` selects the scan loop (see :mod:`repro.core.kernels`);
     every kernel produces identical results, so the choice is purely a
-    speed/memory trade.  ``scan_cache_size`` > 0 enables an LRU cache of
-    whole scan results keyed by payload and scan parameters.
+    speed/memory trade.  The default is the flat kernel, which the service's
+    instances run.
     """
 
     def __init__(
         self,
         pattern_sets: Mapping[int, Iterable[Pattern]],
-        layout: str = "sparse",
-        kernel: str = "reference",
-        scan_cache_size: int = 0,
+        kernel: str = "flat",
     ) -> None:
-        self.layout = layout
         self.middlebox_ids = sorted(pattern_sets)
         for middlebox_id in self.middlebox_ids:
             if middlebox_id < 0:
@@ -69,7 +61,7 @@ class CombinedAutomaton:
         self._referrers = [distinct[data] for data in self._distinct_patterns]
         self.num_distinct_patterns = len(self._distinct_patterns)
 
-        base = AhoCorasick(self._distinct_patterns, layout=layout)
+        base = AhoCorasick(self._distinct_patterns)
         self._pattern_lengths = [len(p) for p in self._distinct_patterns]
         self._build_renumbered(base)
 
@@ -80,7 +72,6 @@ class CombinedAutomaton:
         #: Bitmap with every registered middlebox's bit set (precomputed).
         self.all_middleboxes_bitmap = bitmap
 
-        self.scan_cache = ScanCache.of_size(scan_cache_size)
         self.select_kernel(kernel)
 
     # --- construction -------------------------------------------------------
@@ -111,7 +102,6 @@ class CombinedAutomaton:
         for old_state in accepting:
             new_state = permutation[old_state]
             pairs = []
-            lengths = []
             for pattern_index in base.output_of(old_state):
                 length = self._pattern_lengths[pattern_index]
                 for referrer in self._referrers[pattern_index]:
@@ -124,29 +114,16 @@ class CombinedAutomaton:
                 bitmap |= 1 << middlebox_id
             self._bitmaps[new_state] = bitmap
 
-        # Transitions in the new numbering.
-        if layout_is_full := (base.layout == "full"):
-            old_delta = base._delta
-            self._delta = [None] * num_states
-            for old_state in range(num_states):
-                row = old_delta[old_state]
-                self._delta[permutation[old_state]] = array(
-                    "l", [permutation[row[byte]] for byte in range(256)]
-                )
-            self._goto = None
-            self._fail = None
-        else:
-            self._delta = None
-            self._goto: list[dict[int, int] | None] = [None] * num_states
-            self._fail = array("l", [0] * num_states)
-            for old_state in range(num_states):
-                new_state = permutation[old_state]
-                self._goto[new_state] = {
-                    byte: permutation[child]
-                    for byte, child in base._goto[old_state].items()
-                }
-                self._fail[new_state] = permutation[base._fail[old_state]]
-        self._layout_is_full = layout_is_full
+        # Goto/fail transitions in the new numbering.
+        self._goto: list[dict[int, int] | None] = [None] * num_states
+        self._fail = array("l", [0] * num_states)
+        for old_state in range(num_states):
+            new_state = permutation[old_state]
+            self._goto[new_state] = {
+                byte: permutation[child]
+                for byte, child in base._goto[old_state].items()
+            }
+            self._fail[new_state] = permutation[base._fail[old_state]]
         self._num_trie_edges = base.num_trie_edges
 
     # --- bitmaps and match resolution ------------------------------------------
@@ -193,19 +170,6 @@ class CombinedAutomaton:
             )
         self.kernel_name = kernel
         self._kernel = make_kernel(self, kernel)
-        if self.scan_cache is not None:
-            self.scan_cache.clear()
-
-    def next_state(self, state: int, byte: int) -> int:
-        """Single DFA step (scan loops inline this for speed)."""
-        if self._layout_is_full:
-            return self._delta[state][byte]
-        goto = self._goto
-        fail = self._fail
-        root = self.root
-        while byte not in goto[state] and state != root:
-            state = fail[state]
-        return goto[state].get(byte, root)
 
     def scan(
         self,
@@ -225,37 +189,22 @@ class CombinedAutomaton:
             state = self.root
         if active_bitmap is None:
             active_bitmap = self.all_middleboxes_bitmap
-        cache = self.scan_cache
-        if cache is None:
-            return self._kernel.scan(data, active_bitmap, state, limit)
-        payload = data if data.__class__ is bytes else bytes(data)
-        key = (payload, active_bitmap, state, limit)
-        cached = cache.get(key)
-        if cached is not None:
-            return CombinedScanResult(
-                raw_matches=cached.raw_matches,
-                end_state=cached.end_state,
-                bytes_scanned=cached.bytes_scanned,
-            )
-        result = self._kernel.scan(data, active_bitmap, state, limit)
-        cache.put(key, result)
-        return result
+        return self._kernel.scan(data, active_bitmap, state, limit)
 
     # --- stats -------------------------------------------------------------------
 
     @property
     def stats(self) -> AutomatonStats:
         """Size statistics (states, edges, memory)."""
-        if self._layout_is_full:
-            memory = self.num_states * 256 * AhoCorasick._FULL_ENTRY_BYTES
-        else:
-            memory = self._num_trie_edges * AhoCorasick._SPARSE_EDGE_BYTES
-        memory += self.num_states * AhoCorasick._STATE_OVERHEAD_BYTES
+        memory = (
+            self._num_trie_edges * AhoCorasick._SPARSE_EDGE_BYTES
+            + self.num_states * AhoCorasick._STATE_OVERHEAD_BYTES
+        )
         return AutomatonStats(
             num_patterns=self.num_distinct_patterns,
             num_states=self.num_states,
             num_accepting_states=self.num_accepting,
             num_trie_edges=self._num_trie_edges,
-            layout=self.layout,
+            layout="sparse",
             memory_bytes=memory,
         )

@@ -66,13 +66,9 @@ class InstanceConfig:
     pattern_sets: dict[int, list[Pattern]]
     profiles: dict[int, MiddleboxProfile]
     chain_map: dict[int, tuple[int, ...]]
-    layout: str = "sparse"
     #: Scan kernel (see repro.core.kernels).  Instances default to the
     #: flat-table kernel; the reference loops remain selectable.
     kernel: str = "flat"
-    #: LRU scan-cache capacity; 0 disables caching (the default — cached
-    #: scans skip the real per-byte work, so caching is opt-in).
-    scan_cache_size: int = 0
 
     def __post_init__(self) -> None:
         for middlebox_id in self.pattern_sets:
@@ -81,10 +77,6 @@ class InstanceConfig:
         if self.kernel not in KERNEL_NAMES:
             raise EngineConfigError(
                 f"unknown kernel {self.kernel!r}; expected one of {KERNEL_NAMES}"
-            )
-        if self.scan_cache_size < 0:
-            raise EngineConfigError(
-                f"negative scan cache size: {self.scan_cache_size}"
             )
 
 
@@ -166,12 +158,7 @@ class DPIServiceInstance:
                 else:
                     literals.extend(self.prefilter.add_regex(middlebox_id, pattern))
             literal_sets[middlebox_id] = literals
-        self.automaton = CombinedAutomaton(
-            literal_sets,
-            layout=config.layout,
-            kernel=config.kernel,
-            scan_cache_size=config.scan_cache_size,
-        )
+        self.automaton = CombinedAutomaton(literal_sets, kernel=config.kernel)
         self.scanner = VirtualScanner(
             self.automaton, config.profiles, config.chain_map
         )
@@ -208,17 +195,6 @@ class DPIServiceInstance:
         registry.gauge_callback(
             "dpi_active_flows", lambda: len(scanner.flow_table), instance=name
         )
-        cache = self.automaton.scan_cache
-        if cache is not None:
-            registry.gauge_callback(
-                "dpi_scan_cache_hits", lambda: cache.hits, instance=name
-            )
-            registry.gauge_callback(
-                "dpi_scan_cache_misses", lambda: cache.misses, instance=name
-            )
-            registry.gauge_callback(
-                "dpi_scan_cache_evictions", lambda: cache.evictions, instance=name
-            )
         scanner.bind_metrics(registry, name)
         self._tracer = hub.tracer
 
@@ -298,8 +274,6 @@ class DPIServiceInstance:
         if not self.alive:
             self._require_alive()
         telemetry_on = self._m_packets is not None
-        cache = self.automaton.scan_cache if telemetry_on else None
-        cache_hits_before = cache.hits if cache is not None else 0
         started = time.perf_counter()
         scan = self.scanner.scan_packet(payload, chain_id, flow_key=flow_key, now=now)
         prefilter = self.prefilter
@@ -354,16 +328,10 @@ class DPIServiceInstance:
                     "bytes": scan.bytes_scanned,
                     "matches": total,
                     "elapsed_seconds": elapsed,
-                    "cache_hit": cache is not None and cache.hits > cache_hits_before,
                 })
         return InspectionOutput(
             matches=final_matches, report=report, bytes_scanned=scan.bytes_scanned
         )
-
-    def scan_cache_stats(self) -> "dict[str, int] | None":
-        """The automaton's scan-cache counters, or None when disabled."""
-        cache = self.automaton.scan_cache
-        return cache.stats() if cache is not None else None
 
     # --- flow migration (Section 4.3) -----------------------------------------
 

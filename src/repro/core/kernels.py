@@ -10,9 +10,9 @@ property test (``tests/test_kernels_properties.py``) enforces.
 
 Three kernels are provided:
 
-* ``"reference"`` — the original per-byte Python loops over either layout
-  (sparse goto/fail walking or per-state 256-entry rows).  Kept as the
-  executable specification the others are checked against.
+* ``"reference"`` — the original per-byte Python loop, walking the sparse
+  goto/fail tables.  Kept as the executable specification the others are
+  checked against.
 * ``"flat"`` — one contiguous next-state table of ``num_states * k`` list
   entries, where ``k`` is the number of byte classes: every byte some
   pattern uses is its own class, all the others share class 0 (two bytes
@@ -22,8 +22,8 @@ Three kernels are provided:
   step is a single ``delta[state + cls]`` lookup (list subscripts and
   integer ``+`` are specialized by CPython 3.11's adaptive interpreter).
   The loop is unrolled eight-ways over strided slices, with every loop
-  variable bound to a local.  Works for both layouts (the table is built
-  once at kernel construction, straight into this form).
+  variable bound to a local.  The table is built once at kernel
+  construction, straight into this form.
 * ``"regex"`` — a rare-byte prefilter that keeps anchor-sparse scans inside
   CPython's C machinery.  Each distinct literal contributes its rarest byte
   (under a static traffic-frequency prior) to one anchor character class,
@@ -40,16 +40,12 @@ Three kernels are provided:
   multiple of a flat scan instead of collapsing; on high-entropy signature
   corpora (ClamAV-like) the anchors are bytes that web-ish traffic almost
   never carries and whole payloads are dismissed at C scan speed.
-
-An optional :class:`ScanCache` (LRU over ``(payload, active_bitmap,
-start_state, limit)``) lets repeated payloads — Alexa-style trace workloads
-replay the same popular pages — skip the automaton entirely.
 """
 
 from __future__ import annotations
 
 import re
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -62,9 +58,6 @@ RawMatch = tuple[int, int]
 #: Payload types a kernel accepts (the combined automaton may hand over
 #: slices of reassembled TCP streams as memoryviews).
 ScanData = "bytes | bytearray | memoryview"
-
-#: Cache key of one scan: ``(payload, active_bitmap, start_state, limit)``.
-ScanCacheKey = tuple[bytes, int, int, "int | None"]
 
 
 @dataclass
@@ -120,25 +113,17 @@ class ReferenceKernel:
         append = raw_matches.append
         f = automaton.num_accepting
         bitmaps = automaton._bitmaps
+        goto = automaton._goto
+        fail = automaton._fail
+        root = automaton.root
         cnt = 0
-        if automaton._layout_is_full:
-            delta = automaton._delta
-            for byte in view:
-                state = delta[state][byte]
-                cnt += 1
-                if state < f and bitmaps[state] & active_bitmap:
-                    append((state, cnt))
-        else:
-            goto = automaton._goto
-            fail = automaton._fail
-            root = automaton.root
-            for byte in view:
-                while byte not in goto[state] and state != root:
-                    state = fail[state]
-                state = goto[state].get(byte, root)
-                cnt += 1
-                if state < f and bitmaps[state] & active_bitmap:
-                    append((state, cnt))
+        for byte in view:
+            while byte not in goto[state] and state != root:
+                state = fail[state]
+            state = goto[state].get(byte, root)
+            cnt += 1
+            if state < f and bitmaps[state] & active_bitmap:
+                append((state, cnt))
         return CombinedScanResult(
             raw_matches=raw_matches, end_state=state, bytes_scanned=cnt
         )
@@ -166,22 +151,13 @@ def _byte_classes(patterns) -> "tuple[int, bytes | None]":
 def _build_table(automaton, k: int, classes: "bytes | None") -> list:
     """The next-state table: entry ``state * k + cls`` holds ``next * k``.
 
-    For the ``sparse`` layout the rows are filled breadth-first from the
-    goto/fail tables (a state's failure state is always shallower, so its
-    row is complete before the state is visited); for the ``full`` layout
-    one column per class is read out of the per-state rows.  Either way a
-    state's ``next * k`` is one int object shared by every entry naming it.
+    The rows are filled breadth-first from the goto/fail tables (a state's
+    failure state is always shallower, so its row is complete before the
+    state is visited).
     """
     num_states = automaton.num_states
     # byte -> class; the identity when nothing is merged.
     column = range(256) if classes is None else classes
-    if automaton._layout_is_full:
-        canon = [state * k for state in range(num_states)]
-        members = [column.index(cls) for cls in range(k)]  # one byte per class
-        delta = []
-        for row in automaton._delta:
-            delta.extend([canon[row[byte]] for byte in members])
-        return delta
     goto = automaton._goto
     fail = automaton._fail
     root = automaton.root
@@ -477,71 +453,5 @@ def make_kernel(automaton, name: str) -> ScanKernel:
 
 
 class EngineConfigError(ValueError):
-    """An engine option (kernel, layout, scan cache) holds a
-    value no scan engine can be built with.  Raised before anything is
-    built, so a caller — the CLI exits 2 on it — can report the message."""
-
-
-class ScanCache:
-    """A small LRU cache of scan results.
-
-    Keyed by ``(payload, active_bitmap, start_state, limit)`` — everything
-    a scan's output depends on — so repeated payloads (replayed popular
-    pages in trace workloads) skip the automaton entirely.  Cached results
-    are shared; callers must treat them as immutable.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"cache capacity must be positive: {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[ScanCacheKey, CombinedScanResult]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @classmethod
-    def of_size(cls, size: int) -> "ScanCache | None":
-        """What an automaton built with ``scan_cache_size=size`` carries:
-        no cache for 0, an :class:`EngineConfigError` for a negative size."""
-        if size < 0:
-            raise EngineConfigError(f"negative scan cache size: {size}")
-        return cls(size) if size else None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: ScanCacheKey) -> "CombinedScanResult | None":
-        """The cached result for *key*, or None (counts hits/misses)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: ScanCacheKey, value: CombinedScanResult) -> None:
-        """Insert *value*, evicting the least recently used entry if full."""
-        entries = self._entries
-        entries[key] = value
-        entries.move_to_end(key)
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        self._entries.clear()
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss counters and current size."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-        }
+    """An engine option holds a value no scan engine can be built with
+    (raised before anything is built)."""

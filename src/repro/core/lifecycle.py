@@ -17,10 +17,10 @@ verb:
   spawning anything.
 
 All verbs are keyword-only past the instance name, so call sites read as
-declarations.  Engine options (``kernel``, ``layout``, ``scan_cache_size``)
-are never named here: every verb forwards ``**engine`` to
-:class:`~repro.core.instance.InstanceConfig`, which alone declares,
-defaults and validates them — a misspelt option is its ``TypeError``.
+declarations.  The engine option (``kernel``) is never named here: every
+verb forwards ``**engine`` to :class:`~repro.core.instance.InstanceConfig`,
+which alone declares, defaults and validates it — a misspelt option is its
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from collections.abc import Iterator, Mapping
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.instance import DPIServiceInstance, InstanceConfig
+from repro.core.kernels import EngineConfigError
 from repro.validation import raise_on_errors, validate_instance_config
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -160,6 +161,10 @@ class InstanceManager(Mapping[str, DPIServiceInstance]):
         every chain).  Only middleboxes on the selected chains are included
         (Section 4.3: instances specialized per chain group); ``**engine``
         are :class:`InstanceConfig`'s engine options."""
+        # perf/workloads.py's provision call still passes the removed cache
+        # option as 0; ROADMAP 1b deletes that argument and this guard.
+        if engine.pop("scan_cache_size", 0) != 0:
+            raise EngineConfigError("the scan cache is gone; only 0 is accepted")
         return InstanceConfig(**self._served(chain_ids), **engine)
 
     # --- lifecycle verbs ----------------------------------------------------

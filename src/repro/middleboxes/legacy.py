@@ -33,18 +33,14 @@ class LegacyDPIMiddlebox(Middlebox):
         name: str | None = None,
         rules: list | None = None,
         patterns: list | None = None,
-        layout: str = "sparse",
     ) -> None:
         super().__init__(middlebox_id, name=name, rules=rules, patterns=patterns)
-        self.layout = layout
         self._scanner: VirtualScanner | None = None
         self._prefilter: RegexPreFilter | None = None
         self.bytes_scanned = 0
 
     @classmethod
-    def from_middlebox(
-        cls, middlebox: Middlebox, layout: str = "sparse"
-    ) -> "LegacyDPIMiddlebox":
+    def from_middlebox(cls, middlebox: Middlebox) -> "LegacyDPIMiddlebox":
         """A legacy twin of *middlebox*: same identity, rules and patterns,
         but with a private scan engine, compiled and ready.
 
@@ -58,7 +54,6 @@ class LegacyDPIMiddlebox(Middlebox):
             name=middlebox.name,
             rules=list(middlebox.engine),
             patterns=list(middlebox.patterns),
-            layout=layout,
         )
         twin.build_engine()
         return twin
@@ -74,9 +69,7 @@ class LegacyDPIMiddlebox(Middlebox):
                 literals.extend(
                     self._prefilter.add_regex(self.middlebox_id, pattern)
                 )
-        automaton = CombinedAutomaton(
-            {self.middlebox_id: literals}, layout=self.layout
-        )
+        automaton = CombinedAutomaton({self.middlebox_id: literals})
         profile = MiddleboxProfile(
             middlebox_id=self.middlebox_id,
             name=self.name,

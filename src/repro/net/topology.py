@@ -1,8 +1,8 @@
 """Topology construction and path computation.
 
 A :class:`Topology` owns the simulator, switches, hosts and links, assigns
-port numbers, and computes shortest paths over a networkx graph for the
-traffic steering application.
+port numbers, and computes breadth-first shortest paths for the traffic
+steering application.
 
 :func:`build_paper_topology` recreates the paper's experimental setup
 (Section 6.1): two user hosts, two middlebox hosts and a DPI-service host,
@@ -12,8 +12,6 @@ all connected through a single switch.
 from __future__ import annotations
 
 import itertools
-
-import networkx as nx
 
 from repro.net.addresses import IPv4Address, MACAddress
 from repro.net.host import Host, NetworkFunction
@@ -30,10 +28,9 @@ class Topology:
         self.switches: dict[str, Switch] = {}
         self.hosts: dict[str, Host] = {}
         self.links: list[Link] = []
-        self._graph = nx.Graph()
         self._next_port: dict[str, itertools.count] = {}
         self._host_index = itertools.count()
-        # (node name -> {peer name -> local port})
+        # node name -> {peer name -> local port}, peers in link order
         self._port_map: dict[str, dict[str, int]] = {}
 
     # --- construction ------------------------------------------------------
@@ -44,7 +41,6 @@ class Topology:
             raise ValueError(f"duplicate node name: {name}")
         switch = Switch(self.simulator, name)
         self.switches[name] = switch
-        self._graph.add_node(name, kind="switch")
         self._next_port[name] = itertools.count(1)
         self._port_map[name] = {}
         return switch
@@ -67,7 +63,6 @@ class Topology:
             function=function,
         )
         self.hosts[name] = host
-        self._graph.add_node(name, kind="host")
         self._next_port[name] = itertools.count(1)
         self._port_map[name] = {}
         return host
@@ -93,7 +88,6 @@ class Topology:
         node_b.attach_link(port_b, link)
         link.attach(node_a, port_a, node_b, port_b)
         self.links.append(link)
-        self._graph.add_edge(name_a, name_b)
         self._port_map[name_a][name_b] = port_a
         self._port_map[name_b][name_a] = port_b
         return link
@@ -108,9 +102,9 @@ class Topology:
     # --- queries -------------------------------------------------------------
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph."""
-        return self._graph
+    def adjacency(self) -> dict[str, dict[str, int]]:
+        """Node name -> {linked peer: local port toward it}, in link order."""
+        return self._port_map
 
     def port_toward(self, name: str, neighbor: str) -> int:
         """The local port on *name* that leads directly to *neighbor*."""
@@ -136,8 +130,30 @@ class Topology:
         raise KeyError(f"{name_a} has no direct link to {name_b}")
 
     def shortest_path(self, source: str, target: str) -> list[str]:
-        """Node names along a shortest path (inclusive of endpoints)."""
-        return nx.shortest_path(self._graph, source, target)
+        """Node names along a shortest path (inclusive of endpoints).
+
+        Breadth-first from *source*, peers in link order, so ties break
+        the same way on every run.  An unknown node is a ``KeyError``; a
+        target *source* cannot reach is a ``ValueError``.
+        """
+        self._node(source)
+        self._node(target)
+        previous: dict[str, str | None] = {source: None}
+        frontier = [source]
+        while frontier and target not in previous:
+            reached = []
+            for node in frontier:
+                for peer in self._port_map[node]:
+                    if peer not in previous:
+                        previous[peer] = node
+                        reached.append(peer)
+            frontier = reached
+        if target not in previous:
+            raise ValueError(f"no path from {source} to {target}")
+        path = [target]
+        while (hop := previous[path[-1]]) is not None:
+            path.append(hop)
+        return path[::-1]
 
     def host_of_ip(self, ip: IPv4Address) -> Host | None:
         """The host owning an IP address, or None."""

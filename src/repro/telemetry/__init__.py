@@ -3,8 +3,7 @@
 One :class:`TelemetryHub` bundles the three things every consumer needs:
 
 * a :class:`~repro.telemetry.registry.MetricsRegistry` of counters, gauges
-  and histograms with windowed delta support (the autoscaler reads its
-  load signals from it);
+  and histograms (the autoscaler reads its load signals from it);
 * a :class:`~repro.telemetry.tracing.Tracer` whose spans follow a packet
   end-to-end — TSA steering, switch hops, DPI inspection, middlebox result
   delivery;
@@ -33,8 +32,6 @@ from repro.telemetry.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    MetricsWindow,
-    WindowDelta,
     percentile_from_counts,
 )
 from repro.telemetry.snapshot import FaultEvent, TelemetrySnapshot
@@ -46,8 +43,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsWindow",
-    "WindowDelta",
     "TelemetryHub",
     "TelemetrySnapshot",
     "Tracer",

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, fixed-bucket histograms, windows.
+"""Metrics registry: counters, gauges, fixed-bucket histograms.
 
 Every metric is identified by a name plus a sorted label set (Prometheus
 style).  The registry is clock-aware: it timestamps snapshots with whatever
@@ -6,10 +6,9 @@ clock it was built with — the discrete-event simulator's clock inside a
 simulation, a wall clock for bare scans (see
 :class:`~repro.telemetry.TelemetryHub`).
 
-Counters are monotonic; consumers that need per-window rates hold a
-:class:`MetricsWindow` and call :meth:`MetricsWindow.delta`, which returns
-the counter increments since the previous call.  Windows are independent:
-each reader advances its own without disturbing the others.
+Counters are monotonic; a consumer that needs per-window rates keeps its
+own previous values and differences them (the autoscaler's
+``_CounterWatch``).
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ class Gauge:
     """A value that can go up and down; optionally callback-backed.
 
     A callback gauge reads its value lazily at collection time — used for
-    quantities that already live elsewhere (flow-table sizes, scan-cache
-    counters) so the hot path pays nothing to keep them current.
+    quantities that already live elsewhere (flow-table sizes) so the hot
+    path pays nothing to keep them current.
     """
 
     __slots__ = ("name", "labels", "_value", "callback")
@@ -325,16 +324,6 @@ class MetricsRegistry:
             "metrics": [metric.as_dict() for metric in self.collect()],
         }
 
-    def window(
-        self,
-        names: "Iterable[str] | None" = None,
-        zero_baseline: bool = False,
-    ) -> "MetricsWindow":
-        """A new delta window over the counters named in *names* (None =
-        every counter).  ``zero_baseline`` makes the first delta cover
-        everything accumulated so far instead of starting from now."""
-        return MetricsWindow(self, names=names, zero_baseline=zero_baseline)
-
     def drop(self, **labels) -> int:
         """Remove every metric whose label set includes *labels* (used when
         a DPI instance is torn down).  Returns how many were removed."""
@@ -347,51 +336,3 @@ class MetricsRegistry:
         for key in doomed:
             del self._metrics[key]
         return len(doomed)
-
-
-class WindowDelta(dict):
-    """Counter increments over one window, keyed by (name, label items)."""
-
-    def value(self, name: str, default: float = 0, **labels) -> float:
-        """The delta for one labeled counter, or *default*."""
-        return self.get((name, _label_key(labels)), default)
-
-
-class MetricsWindow:
-    """Tracks counter deltas between successive :meth:`delta` calls.
-
-    The window baseline starts at the counters' values when the window is
-    created; counters born later enter with an implicit baseline of zero.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        names: "Iterable[str] | None" = None,
-        zero_baseline: bool = False,
-    ) -> None:
-        self._registry = registry
-        self._names = frozenset(names) if names is not None else None
-        self._last: dict[MetricKey, float] = {}
-        if not zero_baseline:
-            self._last = self._capture()
-
-    def _capture(self) -> dict[MetricKey, float]:
-        captured: dict[MetricKey, float] = {}
-        names = self._names
-        for key, metric in self._registry._metrics.items():
-            if metric.kind != "counter":
-                continue
-            if names is not None and key[0] not in names:
-                continue
-            captured[key] = metric.value
-        return captured
-
-    def delta(self) -> WindowDelta:
-        """Counter increments since the previous call (which this advances)."""
-        current = self._capture()
-        last = self._last
-        self._last = current
-        return WindowDelta(
-            (key, value - last.get(key, 0)) for key, value in current.items()
-        )

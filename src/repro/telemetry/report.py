@@ -47,15 +47,6 @@ def _instance_rows(registry) -> list:
             p99_us = quantiles[0.99] * 1e6
         else:
             p50_us = p95_us = p99_us = 0.0
-        cache_hits = registry.value("dpi_scan_cache_hits", default=None, instance=name)
-        if cache_hits is None:
-            cache = "off"
-        else:
-            cache_misses = registry.value("dpi_scan_cache_misses", instance=name)
-            lookups = cache_hits + cache_misses
-            rate = 100.0 * cache_hits / lookups if lookups else 0.0
-            evictions = registry.value("dpi_scan_cache_evictions", instance=name)
-            cache = f"{rate:.0f}% hit ({evictions} evicted)"
         rows.append(
             (
                 name,
@@ -68,7 +59,6 @@ def _instance_rows(registry) -> list:
                 f"{p95_us:.1f}",
                 f"{p99_us:.1f}",
                 registry.value("dpi_active_flows", instance=name),
-                cache,
             )
         )
     return rows
@@ -128,7 +118,7 @@ def render_report(hub) -> str:
         sections.extend(
             _table(
                 ["instance", "packets", "bytes", "matches", "ns/B",
-                 "mean us", "p50 us", "p95 us", "p99 us", "flows", "cache"],
+                 "mean us", "p50 us", "p95 us", "p99 us", "flows"],
                 instance_rows,
             )
         )

@@ -155,12 +155,10 @@ def raise_on_errors(issues: Sequence[ValidationIssue]) -> None:
 
 def validate_topology(topology: "Topology") -> list[ValidationIssue]:
     """Structural checks on a built topology."""
-    import networkx as nx
-
     issues: list[ValidationIssue] = []
-    graph = topology.graph
-    for name in sorted(graph.nodes):
-        if graph.degree(name) == 0:
+    adjacency = topology.adjacency
+    for name in sorted(adjacency):
+        if not adjacency[name]:
             issues.append(
                 ValidationIssue(
                     code="TOPO001",
@@ -170,10 +168,8 @@ def validate_topology(topology: "Topology") -> list[ValidationIssue]:
                     "reach or leave it",
                 )
             )
-    if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
-        components = sorted(
-            sorted(component) for component in nx.connected_components(graph)
-        )
+    components = _components(adjacency)
+    if len(components) > 1:
         issues.append(
             ValidationIssue(
                 code="TOPO002",
@@ -196,6 +192,27 @@ def validate_topology(topology: "Topology") -> list[ValidationIssue]:
                 )
             )
     return issues
+
+
+def _components(adjacency: dict[str, dict[str, int]]) -> list[list[str]]:
+    """The connected components, each sorted, in sorted order."""
+    seen: set[str] = set()
+    components = []
+    for start in adjacency:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        component = []
+        while stack:
+            node = stack.pop()
+            component.append(node)
+            for peer in adjacency[node]:
+                if peer not in seen:
+                    seen.add(peer)
+                    stack.append(peer)
+        components.append(sorted(component))
+    return sorted(components)
 
 
 # --- policy chains ----------------------------------------------------------

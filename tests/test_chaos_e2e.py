@@ -236,7 +236,7 @@ class TestScenarioValidation:
             run_chaos_scenario(CRASH_ONLY_PLAN, scenario="figure6")
 
 
-ENGINE = {"kernel": "regex", "scan_cache_size": 8}
+ENGINE = {"kernel": "regex"}
 
 
 def engine_options_of(instance):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.aho_corasick import AhoCorasick
 from repro.core.combined import CombinedAutomaton
 from repro.core.patterns import Pattern
+from tests.conftest import PrivateOracle
 
 
 def _to_bytes(raw: bytes) -> bytes:
@@ -82,23 +83,20 @@ def test_combined_stateful_split(set_a, text, cut):
 @given(set_a=pattern_list, set_b=pattern_list, text=text_strategy)
 @settings(max_examples=60, deadline=None)
 def test_layouts_equivalent(set_a, set_b, text):
+    """The one combined build reports what private automata in either
+    layout report, from the root and resumed mid-text."""
     pattern_sets = {
         0: [Pattern(i, p) for i, p in enumerate(set_a)],
         1: [Pattern(i, p) for i, p in enumerate(set_b)],
     }
-    sparse = CombinedAutomaton(pattern_sets, layout="sparse")
-    full = CombinedAutomaton(pattern_sets, layout="full")
-    sparse_result = sparse.scan(text)
-    full_result = full.scan(text)
-
-    def expand(automaton, result):
-        return sorted(
-            (cnt, pair)
-            for state, cnt in result.raw_matches
-            for pair in automaton.match_entry(state)
-        )
-
-    assert expand(sparse, sparse_result) == expand(full, full_result)
+    combined = CombinedAutomaton(pattern_sets)
+    cut = len(text) // 2
+    head = combined.scan(text[:cut])
+    tail = combined.scan(text[cut:], state=head.end_state)
+    for layout in ("sparse", "full"):
+        oracle = PrivateOracle(combined, pattern_sets, layout)
+        oracle.check(combined.scan(text), text)
+        oracle.check(tail, text[cut:], state=head.end_state)
 
 
 @given(set_a=pattern_list, set_b=pattern_list)

@@ -90,9 +90,7 @@ class TestFigure5Digest:
     def run(self, kernel):
         from repro.telemetry.scenario import run_figure5_scenario
 
-        return run_figure5_scenario(
-            packets=24, seed=7, kernel=kernel, scan_cache_size=16
-        )
+        return run_figure5_scenario(packets=24, seed=7, kernel=kernel)
 
     @pytest.mark.parametrize("kernel", ["flat", "regex"])
     def test_same_seed_runs_digest_identically(self, kernel):

@@ -48,9 +48,7 @@ def pinnable_system():
     tsa.realize()
 
     main_instance = dpi_controller.instances.provision("dpi_main")
-    dedicated_instance = dpi_controller.instances.provision(
-        "dpi_dedicated", layout="full"
-    )
+    dedicated_instance = dpi_controller.instances.provision("dpi_dedicated")
     topo.hosts["dpi_main"].set_function(DPIServiceFunction(main_instance))
     topo.hosts["dpi_dedicated"].set_function(
         DPIServiceFunction(dedicated_instance)

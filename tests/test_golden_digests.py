@@ -19,8 +19,8 @@ from repro.telemetry.scenario import run_figure5_scenario
 PLAN = Path(__file__).resolve().parent.parent / "examples" / "plan_basic.json"
 
 FIGURE5 = {
-    "flat": "969b3d25aebb6ad7330a853c350d81d6217fbb0fc0b032c31efc41e6237e8d1e",
-    "regex": "2daaca00e7de05c173083903f491d38a89fc1a0741d0257ede3825611589ebf2",
+    "flat": "7b59165d50679ac9cd3e8e89764f356eba7b527062115ef84c30119ade6df80d",
+    "regex": "b5c7a5101bff85fc66663ed90a11cc04fa01d5753cd47e5b1e43c5bc3d643c64",
 }
 CHAOS_PLAN_BASIC = "e8fb6cc5d95e474dc4d6b0eba082a67ca8d80ebc489d41d896bb412d14a377fc"
 

@@ -14,7 +14,7 @@ from repro.net.addresses import IPv4Address, MACAddress
 from repro.net.packet import VlanTag, make_tcp_packet
 
 
-def make_config(stateful=False, layout="sparse"):
+def make_config(stateful=False):
     return InstanceConfig(
         pattern_sets={
             1: [
@@ -28,7 +28,6 @@ def make_config(stateful=False, layout="sparse"):
             2: MiddleboxProfile(2, name="av", stateful=stateful),
         },
         chain_map={100: (1, 2), 101: (2,)},
-        layout=layout,
     )
 
 

@@ -1,18 +1,20 @@
 """Unit tests for the scan-kernel layer (:mod:`repro.core.kernels`)."""
 
 import itertools
+import weakref
 from array import array
 
 import pytest
 
 from repro.core.combined import CombinedAutomaton
+from repro.core.controller import DPIController
 from repro.core.instance import DPIServiceInstance, InstanceConfig
 from repro.core.kernels import (
     KERNEL_NAMES,
+    EngineConfigError,
     FlatTableKernel,
     ReferenceKernel,
     RegexPrefilterKernel,
-    ScanCache,
     make_kernel,
 )
 from repro.core.patterns import Pattern
@@ -23,20 +25,24 @@ from repro.workloads.patterns import (
     random_split,
 )
 from repro.workloads.traffic import TrafficGenerator
-from tests.conftest import spy_on_fallback
+from tests.conftest import PrivateOracle, spy_on_fallback
 
+#: Layouts of the private Aho-Corasick automata every scan is checked
+#: against (the combined automaton itself has one build).
 LAYOUTS = ("sparse", "full")
+
+#: automaton -> the oracle :func:`assert_identical` checks its scans with.
+ORACLES = weakref.WeakKeyDictionary()
 
 
 def build(pattern_sets, layout="sparse", **kwargs):
-    return CombinedAutomaton(
-        {
-            middlebox_id: [Pattern(i, data) for i, data in enumerate(patterns)]
-            for middlebox_id, patterns in pattern_sets.items()
-        },
-        layout=layout,
-        **kwargs,
-    )
+    sets = {
+        middlebox_id: [Pattern(i, data) for i, data in enumerate(patterns)]
+        for middlebox_id, patterns in pattern_sets.items()
+    }
+    automaton = CombinedAutomaton(sets, **kwargs)
+    ORACLES[automaton] = PrivateOracle(automaton, sets, layout)
+    return automaton
 
 
 def results_of(automaton, payload, bitmap=None, state=None, limit=None):
@@ -49,9 +55,15 @@ def results_of(automaton, payload, bitmap=None, state=None, limit=None):
 
 
 def assert_identical(automaton, payload, bitmap=None, state=None, limit=None):
+    """Every kernel returns the same scan, and it is what the private
+    automata find; returns ``(raw matches, end state, bytes scanned)``."""
     out = results_of(automaton, payload, bitmap, state, limit)
     assert out["flat"] == out["reference"]
     assert out["regex"] == out["reference"]
+    automaton.select_kernel("reference")
+    ORACLES[automaton].check(
+        automaton.scan(payload, bitmap, state, limit), payload, bitmap, state, limit
+    )
     return out["reference"]
 
 
@@ -427,8 +439,9 @@ class TestKernelSelection:
         with pytest.raises(ValueError, match="unknown kernel"):
             make_kernel(automaton, "turbo")
 
-    def test_default_kernel_is_reference(self):
-        assert build({1: [b"abc"]}).kernel_name == "reference"
+    def test_default_kernel_is_flat(self):
+        # The kernel the service's instances run (InstanceConfig's default).
+        assert build({1: [b"abc"]}).kernel_name == "flat"
 
     def test_kernel_name_tracks_selection(self):
         automaton = build({1: [b"abc"]})
@@ -446,11 +459,10 @@ class TestKernelSelection:
             ([bytes(range(255))], 256),
             ([bytes(range(256))], 256),
         ):
-            for layout in LAYOUTS:
-                automaton = build({1: patterns}, layout=layout)
-                kernel = FlatTableKernel(automaton)
-                assert len(kernel._delta) == automaton.num_states * k
-                assert (kernel._classes is None) == (k == 256)
+            automaton = build({1: patterns})
+            kernel = FlatTableKernel(automaton)
+            assert len(kernel._delta) == automaton.num_states * k
+            assert (kernel._classes is None) == (k == 256)
 
     def test_regex_kernel_anchor_bytes_cover_patterns(self):
         automaton = build({1: [b"abc\xffx", b"plain"]})
@@ -467,13 +479,20 @@ class TestKernelSelection:
             )
 
     def test_instance_config_validates_cache_size(self):
-        with pytest.raises(ValueError, match="negative scan cache size"):
+        # The scan cache is gone: InstanceConfig has no such option, and
+        # build_config accepts only the 0 the perf harness still passes.
+        with pytest.raises(TypeError, match="scan_cache_size"):
             InstanceConfig(
                 pattern_sets={1: []},
                 profiles={1: MiddleboxProfile(1)},
                 chain_map={},
-                scan_cache_size=-1,
+                scan_cache_size=0,
             )
+        manager = DPIController().instances
+        assert manager.build_config(scan_cache_size=0) == manager.build_config()
+        for size in (-1, 8):
+            with pytest.raises(EngineConfigError, match="scan cache is gone"):
+                manager.build_config(scan_cache_size=size)
 
 
 def big_sequences(root, floor):
@@ -524,87 +543,7 @@ class TestTableSize:
         assert set(found) == {id(flat._delta)}, found.values()
 
 
-class TestScanCache:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            ScanCache(0)
-        with pytest.raises(ValueError):
-            ScanCache(-3)
-
-    def test_hit_and_miss_counters(self):
-        cache = ScanCache(4)
-        assert cache.get("k") is None
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        assert cache.stats() == {
-            "hits": 1,
-            "misses": 1,
-            "evictions": 0,
-            "entries": 1,
-            "capacity": 4,
-        }
-
-    def test_lru_eviction_order(self):
-        cache = ScanCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"; "b" becomes LRU
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert cache.evictions == 1
-
-    def test_clear_keeps_counters(self):
-        cache = ScanCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats()["hits"] == 1
-
-    def test_automaton_cache_round_trip(self):
-        automaton = build({1: [b"attack"]}, kernel="flat", scan_cache_size=8)
-        payload = b"an attack comes"
-        first = automaton.scan(payload)
-        second = automaton.scan(payload)
-        assert first.raw_matches == second.raw_matches
-        assert first.end_state == second.end_state
-        assert automaton.scan_cache.stats()["hits"] == 1
-
-    def test_cache_key_includes_scan_parameters(self):
-        automaton = build(
-            {1: [b"attack"], 2: [b"attack"]}, kernel="flat", scan_cache_size=8
-        )
-        payload = b"an attack comes"
-        automaton.scan(payload, automaton.bitmask_of([1]))
-        automaton.scan(payload, automaton.bitmask_of([2]))
-        automaton.scan(payload, limit=4)
-        assert automaton.scan_cache.stats()["hits"] == 0
-
-    def test_cached_result_matches_uncached(self):
-        cached = build({1: [b"aa"]}, kernel="flat", scan_cache_size=4)
-        plain = build({1: [b"aa"]}, kernel="flat")
-        payload = b"aaaa"
-        cached.scan(payload)
-        hit = cached.scan(payload)
-        direct = plain.scan(payload)
-        assert hit.raw_matches == direct.raw_matches
-        assert hit.end_state == direct.end_state
-        assert hit.bytes_scanned == direct.bytes_scanned
-
-    def test_select_kernel_clears_cache(self):
-        automaton = build({1: [b"aa"]}, kernel="flat", scan_cache_size=4)
-        automaton.scan(b"aaaa")
-        automaton.select_kernel("reference")
-        assert len(automaton.scan_cache) == 0
-
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(ValueError):
-            build({1: [b"aa"]}, scan_cache_size=-1)
-
-
-def make_instance_config(kernel, scan_cache_size=0, stateful=False):
+def make_instance_config(kernel, stateful=False):
     from repro.core.patterns import PatternKind
 
     return InstanceConfig(
@@ -621,7 +560,6 @@ def make_instance_config(kernel, scan_cache_size=0, stateful=False):
         },
         chain_map={100: (1, 2)},
         kernel=kernel,
-        scan_cache_size=scan_cache_size,
     )
 
 
@@ -669,14 +607,3 @@ class TestInstanceKernels:
         instance = DPIServiceInstance(make_instance_config("regex"))
         assert instance.automaton.kernel_name == "regex"
         assert instance.config.kernel == "regex"
-
-    def test_scan_cache_stats_exposed(self):
-        instance = DPIServiceInstance(make_instance_config("flat"))
-        assert instance.scan_cache_stats() is None
-        cached = DPIServiceInstance(
-            make_instance_config("flat", scan_cache_size=16)
-        )
-        cached.inspect(b"an attack", chain_id=100)
-        cached.inspect(b"an attack", chain_id=100)
-        stats = cached.scan_cache_stats()
-        assert stats["hits"] >= 1

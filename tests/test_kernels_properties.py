@@ -41,11 +41,11 @@ payloads = st.builds(
 )
 
 
-def build_automaton(patterns, second_set, layout):
+def build_automaton(patterns, second_set):
     sets = {1: [Pattern(i, p) for i, p in enumerate(patterns)]}
     if second_set:
         sets[2] = [Pattern(i, p) for i, p in enumerate(second_set)]
-    return CombinedAutomaton(sets, layout=layout)
+    return CombinedAutomaton(sets)
 
 
 @settings(max_examples=120, deadline=None)
@@ -53,15 +53,14 @@ def build_automaton(patterns, second_set, layout):
     patterns=pattern_lists,
     second_set=st.one_of(st.just([]), pattern_lists),
     payload=payloads,
-    layout=st.sampled_from(("sparse", "full")),
     bitmap_choice=st.sampled_from(("all", "none", "first", "zero")),
     limit=st.one_of(st.none(), st.integers(min_value=0, max_value=100)),
     cut_fraction=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_kernels_scan_identically(
-    patterns, second_set, payload, layout, bitmap_choice, limit, cut_fraction
+    patterns, second_set, payload, bitmap_choice, limit, cut_fraction
 ):
-    automaton = build_automaton(patterns, second_set, layout)
+    automaton = build_automaton(patterns, second_set)
     bitmap = {
         "all": None,
         "none": automaton.all_middleboxes_bitmap,
@@ -147,13 +146,12 @@ def sparse_flows(draw):
 @settings(max_examples=200, deadline=None)
 @given(
     flow=sparse_flows(),
-    layout=st.sampled_from(("sparse", "full")),
     limit=st.one_of(st.none(), st.integers(min_value=0, max_value=150)),
     wrap=st.sampled_from((bytes, bytearray, memoryview)),
 )
-def test_sparse_anchor_resumes_scan_identically(flow, layout, limit, wrap):
+def test_sparse_anchor_resumes_scan_identically(flow, limit, wrap):
     patterns, head, tail = flow
-    automaton = build_automaton(patterns, [], layout)
+    automaton = build_automaton(patterns, [])
     window = max(len(pattern) for pattern in patterns)
     resume_state = automaton.scan(head).end_state
     results = {}
@@ -216,17 +214,16 @@ def small_alphabet_flows(draw):
 @settings(max_examples=150, deadline=None)
 @given(
     flow=small_alphabet_flows(),
-    layout=st.sampled_from(("sparse", "full")),
     wrap=st.sampled_from((bytes, bytearray, memoryview)),
 )
-def test_kernels_agree_with_the_independent_oracle(flow, layout, wrap):
+def test_kernels_agree_with_the_independent_oracle(flow, wrap):
     patterns, payload, cut = flow
     expected = sorted(
         (end, index)
         for index, pattern in enumerate(patterns)
         for end in find_all(payload, pattern)
     )
-    automaton = build_automaton(patterns, [], layout)
+    automaton = build_automaton(patterns, [])
 
     def resolved(scan, offset=0):
         return [
@@ -248,17 +245,15 @@ def test_kernels_agree_with_the_independent_oracle(flow, layout, wrap):
 @given(
     patterns=pattern_lists,
     chunks=st.lists(payloads, min_size=1, max_size=4),
-    layout=st.sampled_from(("sparse", "full")),
     stateful=st.booleans(),
 )
-def test_instances_report_identically(patterns, chunks, layout, stateful):
+def test_instances_report_identically(patterns, chunks, stateful):
     instances = {}
     for name in KERNEL_NAMES:
         config = InstanceConfig(
             pattern_sets={1: [Pattern(i, p) for i, p in enumerate(patterns)]},
             profiles={1: MiddleboxProfile(1, name="ids", stateful=stateful)},
             chain_map={100: (1,)},
-            layout=layout,
             kernel=name,
         )
         instances[name] = DPIServiceInstance(config)

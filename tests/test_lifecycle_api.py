@@ -124,11 +124,11 @@ class TestDeprecationShims:
             controller.instances.decommission("dpi-1")
 
 
-REGEX_CACHED = {"kernel": "regex", "layout": "full", "scan_cache_size": 16}
+REGEX = {"kernel": "regex"}
 
 
 def engine_options_of(instance):
-    return {name: getattr(instance.config, name) for name in REGEX_CACHED}
+    return {name: getattr(instance.config, name) for name in REGEX}
 
 
 class TestEngineOptionForwarding:
@@ -160,42 +160,39 @@ class TestEngineOptionForwarding:
             controller.instances.provision("x", shards=2)
         assert "x" not in controller.instances
 
-    def test_instance_config_has_exactly_three_engine_options(self):
+    def test_instance_config_has_exactly_one_engine_option(self):
         import dataclasses
 
         from repro.core.instance import InstanceConfig
 
         assert [field.name for field in dataclasses.fields(InstanceConfig)] == [
-            "pattern_sets", "profiles", "chain_map",
-            "layout", "kernel", "scan_cache_size",
+            "pattern_sets", "profiles", "chain_map", "kernel",
         ]
 
     def test_refresh_preserves_every_engine_option(self):
         controller = make_controller()
-        instance = controller.instances.provision("dpi-1", **REGEX_CACHED)
+        instance = controller.instances.provision("dpi-1", **REGEX)
         controller.handle_message(
             AddPatternsMessage(1, [Pattern(1, b"new-sig")])
         )
         controller.instances.refresh()
         assert len(instance.config.pattern_sets[1]) == 2
-        assert engine_options_of(instance) == REGEX_CACHED
+        assert engine_options_of(instance) == REGEX
         output = instance.inspect(b"a new-sig", chain_id=CHAIN)
         assert output.matches == {1: [(1, 9)]}
 
     def test_plan_groups_forwards_engine_options(self):
         controller = make_controller()
-        controller.instances.plan_groups(
-            max_groups=1, kernel="regex", scan_cache_size=4
-        )
+        controller.instances.plan_groups(max_groups=1, kernel="regex")
         config = controller.instances["dpi-group-1"].config
-        assert (config.kernel, config.scan_cache_size) == ("regex", 4)
+        assert config.kernel == "regex"
 
     def test_failover_replacement_gets_the_provision_kwargs(self):
         from repro.faults.recovery import FailoverCoordinator
         from repro.telemetry.scenario import build_figure5_system
 
         system = build_figure5_system(
-            extra_hosts={"standby": "s3"}, **REGEX_CACHED
+            extra_hosts={"standby": "s3"}, **REGEX
         )
         coordinator = FailoverCoordinator(
             system.dpi_controller,
@@ -204,14 +201,14 @@ class TestEngineOptionForwarding:
             instance_hosts={"dpi3": "dpi3"},
             dpi_functions={"dpi3": system.dpi_function},
             spare_hosts=["standby"],
-            provision_kwargs=REGEX_CACHED,
+            provision_kwargs=REGEX,
         )
         system.instance.crash()
         record = coordinator.handle_instance_down("dpi3")
         assert record.mode == "provision"
         replacement = system.dpi_controller.instances[record.replacement]
-        assert engine_options_of(replacement) == REGEX_CACHED
-        assert engine_options_of(system.instance) == REGEX_CACHED
+        assert engine_options_of(replacement) == REGEX
+        assert engine_options_of(system.instance) == REGEX
 
 
 class TestTelemetrySnapshot:

@@ -28,7 +28,7 @@ def traffic(flows=200, epochs=1, seed=5):
     return [batch.items for batch in generator.batches()]
 
 
-REGEX_CACHED = dict(kernel="regex", scan_cache_size=8)
+REGEX = dict(kernel="regex")
 
 
 class TestFlatChurn:
@@ -75,7 +75,7 @@ class TestRegexCachedChurn:
         batch = traffic()[0]
         name = "iso"
         instance = controller.instances.provision(
-            name, chain_ids=(200,), dedicated=True, **REGEX_CACHED
+            name, chain_ids=(200,), dedicated=True, **REGEX
         )
         assert controller.instances.is_dedicated(name)
         flood = [item for item in batch if item[1] == 200]
@@ -86,7 +86,7 @@ class TestRegexCachedChurn:
 
     def test_crash_then_decommission_is_idempotent(self):
         controller = fresh_controller()
-        instance = controller.instances.provision("dpi-2", **REGEX_CACHED)
+        instance = controller.instances.provision("dpi-2", **REGEX)
         instance.inspect(b"warm up the cache", chain_id=100, flow_key=1)
         instance.crash()
         # Decommissioning an already-crashed instance must not raise or
@@ -106,7 +106,7 @@ class TestAutoscalerChurn:
         )
 
         controller = fresh_controller()
-        controller.instances.provision("dpi-1", **REGEX_CACHED)
+        controller.instances.provision("dpi-1", **REGEX)
         autoscaler = Autoscaler(
             controller,
             rate_bytes_per_second=100_000.0,
@@ -114,7 +114,7 @@ class TestAutoscalerChurn:
             slo_seconds=0.05,
             policies=[ThresholdPolicy()],
             max_instances=3,
-            provision_kwargs=dict(REGEX_CACHED),
+            provision_kwargs=dict(REGEX),
         )
         registry = controller.telemetry.registry
 
@@ -134,7 +134,6 @@ class TestAutoscalerChurn:
         added = up[0].instance
         controller.instances[added].inspect(b"a scan on the new one", chain_id=100)
         assert controller.instances[added].config.kernel == "regex"
-        assert controller.instances[added].config.scan_cache_size == 8
         feed(added, 0.0001)
         down = autoscaler.tick(epoch=1)
         assert [event.action for event in down] == ["down"]

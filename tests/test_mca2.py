@@ -122,9 +122,11 @@ class Mca2System:
     ``dpi-1``, as the load driver and the TSA steer them; a reference
     instance outside the controller scans every packet too."""
 
-    def __init__(self, patterns, *, stateful=True, policies=None, **stress):
+    def __init__(
+        self, patterns, *, stateful=True, policies=None, chain_ids=None, **stress
+    ):
         self.controller = build_controller(patterns, stateful=stateful)
-        self.controller.instances.provision("dpi-1")
+        self.controller.instances.provision("dpi-1", chain_ids=chain_ids)
         self.reference = DPIServiceInstance(
             self.controller.instances.build_config(), name="reference"
         )
@@ -227,7 +229,7 @@ class TestStressPolicy:
         assert event.reason.startswith("dpi-1 work ")
         manager = system.controller.instances
         assert manager.is_dedicated(event.instance)
-        assert manager[event.instance].config.layout == "full"
+        assert "-mca2-" in event.instance
         assert system.pinned_by(event) == ["attacker-0", "attacker-1", "attacker-2"]
         for flow_key in system.pinned_by(event):
             assert manager[event.instance].export_flow(flow_key) is not None
@@ -325,6 +327,40 @@ class TestStressPolicy:
         source = system.controller.instances["dpi-1"]
         assert "attacker-0" not in source.telemetry.flow_work
 
+    def test_migrate_never_lands_on_an_isolation_instance(
+        self, snort_patterns, flood
+    ):
+        """A migrate reuses only an instance an earlier migrate provisioned:
+        an isolation instance serving the same chain is dedicated too, but
+        it is not a migrate target."""
+        system = Mca2System(
+            snort_patterns,
+            policies=[IsolationPolicy(), StressPolicy(threshold_factor=1.5)],
+            chain_ids=(CHAIN,),
+        )
+        manager = system.controller.instances
+        system.benign(40)
+        system.autoscaler.tick(epoch=0)
+        for index in range(12):
+            system.send(flood, f"attacker-{index % 4}")
+        (isolated,) = system.autoscaler.isolate_now(
+            epoch=1, anomalous_flows=(("attacker-0", CHAIN),)
+        )
+        assert manager.is_dedicated(isolated.instance)
+        assert manager.chain_filter_of(isolated.instance) == (
+            manager.chain_filter_of("dpi-1")
+        )
+        (first,) = system.autoscaler.tick(epoch=1)
+        assert first.action == "migrate"
+        assert first.instance != isolated.instance
+        assert "-mca2-" in first.instance
+        for index in range(6):
+            system.send(flood, f"late-{index % 3}")
+        (second,) = system.autoscaler.tick(epoch=2)
+        assert second.action == "migrate"
+        assert second.instance == first.instance
+        assert manager.dedicated_names() == [isolated.instance, first.instance]
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="exceed 1.0"):
             StressPolicy(threshold_factor=1.0)
@@ -336,7 +372,7 @@ class TestMigrationLosesNoMatch:
         assert calibration == [] and after == []
         (event,) = migration
         assert event.action == "migrate"
-        assert system.controller.instances[event.instance].config.layout == "full"
+        assert "-mca2-" in event.instance
         assert system.pinned_by(event) == ["attacker-0", "attacker-1", "attacker-2"]
         # The signature straddles the migration point and is still found.
         signature_id = 150  # appended after the 150 Snort-like patterns

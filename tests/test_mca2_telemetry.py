@@ -89,7 +89,7 @@ class TestObserveAndMitigateEdgeCases:
 
         push_load(controller, "dpi-1", bytes_scanned=10_000, matches=1000)
         (first,) = autoscaler.tick(epoch=1)
-        assert controller.instances[first.instance].config.layout == "full"
+        assert "-mca2-" in first.instance
 
         push_load(controller, "dpi-1", bytes_scanned=10_000, matches=1000)
         (second,) = autoscaler.tick(epoch=2)

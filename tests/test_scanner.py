@@ -11,13 +11,12 @@ def make_scanner(
     stateful=(False, False),
     stopping=(None, None),
     chain=(0, 1),
-    layout="sparse",
 ):
     pattern_sets = {
         0: [Pattern(0, b"attack"), Pattern(1, b"evil")],
         1: [Pattern(0, b"virus"), Pattern(1, b"attack")],
     }
-    automaton = CombinedAutomaton(pattern_sets, layout=layout)
+    automaton = CombinedAutomaton(pattern_sets)
     profiles = {
         0: MiddleboxProfile(0, name="ids", stateful=stateful[0], stopping_condition=stopping[0]),
         1: MiddleboxProfile(1, name="av", stateful=stateful[1], stopping_condition=stopping[1]),

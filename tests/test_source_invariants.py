@@ -6,6 +6,7 @@ a set comprehension, and no process, thread or shared-memory import.
 
 import ast
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,27 @@ def test_src_repro_imports_no_os_resource_modules():
 #: Scan-time metrics the instance fills from ``perf_counter``.  Only their
 #: producer and ``repro-dpi report`` may name them: a decision that read
 #: them would depend on the machine and could never be pinned by a digest.
+def test_src_repro_imports_only_the_standard_library_and_repro():
+    """The package installs and imports with no third-party runtime
+    dependency, so a bare ``PYTHONPATH=src`` can import all of it."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "repro" and top not in sys.stdlib_module_names:
+                    offenders.append(
+                        f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {name}"
+                    )
+    assert offenders == [], "third-party imports:\n  " + "\n  ".join(offenders)
+
+
 WALL_CLOCK_METRICS = ("dpi_scan_seconds_total", "dpi_scan_latency_seconds")
 WALL_CLOCK_METRIC_FILES = {"core/instance.py", "telemetry/report.py"}
 

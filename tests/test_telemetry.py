@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.autoscale.controller import _CounterWatch
 from repro.core.instance import DPIServiceInstance, InstanceConfig
 from repro.core.patterns import Pattern
 from repro.core.scanner import MiddleboxProfile
@@ -22,12 +23,11 @@ from repro.telemetry.scenario import run_figure5_scenario
 CHAIN = 100
 
 
-def make_instance(telemetry=None, scan_cache_size=0):
+def make_instance(telemetry=None):
     config = InstanceConfig(
         pattern_sets={1: [Pattern(0, b"needle-alpha"), Pattern(1, b"needle-beta")]},
         profiles={1: MiddleboxProfile(middlebox_id=1, name="ids", stateful=True)},
         chain_map={CHAIN: (1,)},
-        scan_cache_size=scan_cache_size,
     )
     return DPIServiceInstance(config, name="dpi-t", telemetry=telemetry)
 
@@ -67,32 +67,38 @@ class TestMetricsRegistry:
             (0.1, 1), (1.0, 2), (float("inf"), 3)
         ]
 
+    # The one window delta over registry counters is the autoscaler's
+    # _CounterWatch: each call returns the increments since the previous.
+
     def test_window_delta_is_incremental(self):
         registry = MetricsRegistry()
         counter = registry.counter("bytes", instance="a")
         counter.inc(10)
-        window = registry.window(("bytes",))
-        assert window.delta().value("bytes", instance="a") == 0
+        watch = _CounterWatch()
+        watch.delta(registry.collect_named("bytes"))
         counter.inc(5)
-        assert window.delta().value("bytes", instance="a") == 5
-        assert window.delta().value("bytes", instance="a") == 0
+        registry.counter("bytes", instance="b").inc(2)  # born mid-window
+        assert watch.deltas(registry.collect_named("bytes")) == {
+            (("instance", "a"),): 5,
+            (("instance", "b"),): 2,
+        }
+        assert watch.delta(registry.collect_named("bytes")) == 0
 
     def test_window_zero_baseline_covers_history(self):
         registry = MetricsRegistry()
         registry.counter("bytes", instance="a").inc(10)
-        window = registry.window(("bytes",), zero_baseline=True)
-        assert window.delta().value("bytes", instance="a") == 10
+        assert _CounterWatch().delta(registry.collect_named("bytes")) == 10
 
     def test_windows_are_independent(self):
         registry = MetricsRegistry()
         counter = registry.counter("bytes")
-        first = registry.window(("bytes",))
-        second = registry.window(("bytes",))
+        first = _CounterWatch()
+        second = _CounterWatch()
         counter.inc(3)
-        assert first.delta().value("bytes") == 3
+        assert first.delta(registry.collect_named("bytes")) == 3
         counter.inc(2)
-        assert first.delta().value("bytes") == 2
-        assert second.delta().value("bytes") == 5
+        assert first.delta(registry.collect_named("bytes")) == 2
+        assert second.delta(registry.collect_named("bytes")) == 5
 
     def test_drop_removes_labeled_metrics(self):
         registry = MetricsRegistry()
@@ -202,12 +208,13 @@ class TestExporters:
 
     def test_report_renders_instance_table(self):
         hub = TelemetryHub(clock=lambda: 0.0)
-        instance = make_instance(telemetry=hub, scan_cache_size=4)
+        instance = make_instance(telemetry=hub)
         instance.inspect(b"has a needle-alpha inside", chain_id=CHAIN, flow_key="f")
         text = render_report(hub)
         assert "dpi-t" in text
         assert "DPI instances" in text
-        assert "% hit" in text  # the cache column is live
+        header = text.splitlines()[1].split()
+        assert header[0] == "instance" and header[-1] == "flows"
 
     def test_report_empty_hub(self):
         assert render_report(TelemetryHub()) == "no telemetry recorded\n"
@@ -237,20 +244,6 @@ class TestInstanceTelemetry:
         assert registry.value(
             "dpi_chain_packets_total", instance="dpi-t", chain=CHAIN
         ) == 3
-
-    def test_cache_stats_surfaced_as_gauges(self):
-        hub = TelemetryHub()
-        instance = make_instance(telemetry=hub, scan_cache_size=2)
-        instance.inspect(b"payload-one", chain_id=CHAIN)
-        instance.inspect(b"payload-one", chain_id=CHAIN)
-        registry = hub.registry
-        stats = instance.scan_cache_stats()
-        assert registry.value("dpi_scan_cache_hits", instance="dpi-t") == \
-            stats["hits"] >= 1
-        assert registry.value("dpi_scan_cache_misses", instance="dpi-t") == \
-            stats["misses"]
-        assert registry.value("dpi_scan_cache_evictions", instance="dpi-t") == \
-            stats["evictions"]
 
     def test_inspect_results_identical_with_and_without_telemetry(self):
         plain = make_instance()

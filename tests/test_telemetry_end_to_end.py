@@ -189,20 +189,6 @@ class TestExports:
         assert "dpi_scan_latency_seconds_bucket" in text
 
 
-class TestScanCacheSurfacing:
-    def test_cache_gauges_match_cache_stats(self):
-        result = run_figure5_scenario(packets=12, seed=7, scan_cache_size=64)
-        registry = result.hub.registry
-        stats = result.instance.scan_cache_stats()
-        assert stats is not None
-        for stat_name in ("hits", "misses", "evictions"):
-            assert registry.value(
-                f"dpi_scan_cache_{stat_name}", instance="dpi3"
-            ) == stats[stat_name]
-        assert stats["misses"] > 0
-        assert "hit" in render_report(result.hub)
-
-
 class TestTelemetryDisabledParity:
     def test_data_plane_identical_with_telemetry_off(self, scenario):
         plain = run_figure5_scenario(packets=PACKETS, seed=7, telemetry=False)

@@ -1,11 +1,15 @@
 """Unit tests for topology construction and the SDN controller."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.net.addresses import IPv4Address
 from repro.net.controller import SDNController
 from repro.net.packet import make_tcp_packet
 from repro.net.topology import Topology, build_paper_topology
+from repro.telemetry.scenario import build_figure5_system
 
 
 class TestTopology:
@@ -52,6 +56,48 @@ class TestTopology:
         topo.add_link("s2", "s3")
         topo.add_link("s3", "h2")
         assert topo.shortest_path("h1", "h2") == ["h1", "s1", "s2", "s3", "h2"]
+
+    def test_shortest_path_unknown_node_is_a_key_error(self):
+        topo = build_paper_topology()
+        with pytest.raises(KeyError, match="unknown node: ghost"):
+            topo.shortest_path("user1", "ghost")
+        with pytest.raises(KeyError, match="unknown node: ghost"):
+            topo.shortest_path("ghost", "user1")
+
+    def test_shortest_path_unreachable_is_a_value_error(self):
+        topo = build_paper_topology()
+        topo.add_switch("island")
+        with pytest.raises(ValueError, match="no path from user1 to island"):
+            topo.shortest_path("user1", "island")
+        assert topo.shortest_path("island", "island") == ["island"]
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (
+                build_paper_topology,
+                "5454238b65f1f7bde09de4c33418c8d68fd0c06b63ce2d41b37b578b9ba5e66e",
+            ),
+            (
+                lambda: build_figure5_system().topology,
+                "0a624e39973cec75e540e6a405376ea2257acabd8871fa17fbb779aca77c9f5a",
+            ),
+        ],
+        ids=["paper", "figure5"],
+    )
+    def test_shortest_paths_are_pinned(self, build, expected):
+        """Every ordered pair's path, tie-breaks included: steering follows
+        these, so a change of path search must not move one."""
+        topo = build()
+        names = list(topo.switches) + list(topo.hosts)
+        paths = {
+            f"{a}>{b}": topo.shortest_path(a, b)
+            for a in names
+            for b in names
+            if a != b
+        }
+        material = json.dumps(paths, sort_keys=True).encode()
+        assert hashlib.sha256(material).hexdigest() == expected
 
     def test_unique_host_addresses(self):
         topo = build_paper_topology()

@@ -73,6 +73,22 @@ def test_isolated_node_and_disconnection_are_flagged():
     assert all(issue.severity is Severity.ERROR for issue in issues)
 
 
+def test_disconnection_lists_every_component_sorted():
+    topo, _ = build_tsa()
+    for switch in ("z2", "a9", "z1"):
+        topo.add_switch(switch)
+    topo.add_link("z2", "z1")
+    topo.add_link("a9", "z1")
+    topo.add_switch("b0")
+    topo.add_host("h0")
+    topo.add_link("h0", "b0")
+    (issue,) = [i for i in validate_topology(topo) if i.code == "TOPO002"]
+    assert issue.message == (
+        "graph is disconnected: components [['a9', 'z1', 'z2'], "
+        "['b0', 'h0'], ['dst', 'mb', 's1', 's2', 'src']]"
+    )
+
+
 def test_duplicate_host_ip_is_flagged():
     topo, _ = build_tsa()
     clone = topo.add_host("clone", ip=topo.hosts["src"].ip)
