@@ -90,14 +90,18 @@ def _cmd_generate_trace(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.layout and args.engine != "ac":
+        print("scan: --layout applies to --engine ac only", file=sys.stderr)
+        return 2
     patterns = read_pattern_file(args.patterns)
     literals = [p.data for p in patterns if p.kind is PatternKind.LITERAL]
     if not literals:
         print("pattern file holds no literal patterns", file=sys.stderr)
         return 2
     trace = load_trace(args.trace)
+    layout = args.layout or "sparse"
     if args.engine == "ac":
-        engine = AhoCorasick(literals, layout=args.layout)
+        engine = AhoCorasick(literals, layout=layout)
     elif args.engine == "combined":
         from repro.core.combined import CombinedAutomaton
 
@@ -126,7 +130,7 @@ def _cmd_scan(args) -> int:
     mbps = trace.total_bytes * 8 / elapsed / 1e6 if elapsed > 0 else float("inf")
     detail = ""
     if args.engine == "ac":
-        detail = f" ({args.layout})"
+        detail = f" ({layout})"
     elif args.engine == "combined":
         detail = f" (kernel={args.kernel})"
     print(f"engine: {args.engine}" + detail)
@@ -705,8 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--layout",
         choices=("sparse", "full"),
-        default="sparse",
-        help="DFA layout for --engine ac",
+        help="DFA layout for --engine ac (default sparse)",
     )
     scan.add_argument(
         "--kernel",

@@ -65,15 +65,6 @@ class SDNController:
         self.stats.flow_mods += 1
         return entry
 
-    def packet_out(
-        self, switch: Switch | str, packet: Packet, actions, in_port: int = -1
-    ) -> None:
-        """Inject a packet at a switch with explicit actions."""
-        if isinstance(switch, str):
-            switch = self.topology.switches[switch]
-        switch.packet_out(packet, actions, in_port)
-        self.stats.packet_outs += 1
-
     # --- packet-in handling ---------------------------------------------------
 
     def packet_in(self, switch: Switch, packet: Packet, in_port: int) -> None:

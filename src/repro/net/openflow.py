@@ -70,24 +70,6 @@ class FlowMatch:
             return False
         return True
 
-    def specificity(self) -> int:
-        """Number of concrete (non-wildcard) fields; used for diagnostics."""
-        return sum(
-            value is not None
-            for value in (
-                self.in_port,
-                self.eth_src,
-                self.eth_dst,
-                self.vlan_vid,
-                self.mpls_label,
-                self.ip_src,
-                self.ip_dst,
-                self.ip_proto,
-                self.src_port,
-                self.dst_port,
-            )
-        )
-
 
 class ActionType(enum.Enum):
     """The action vocabulary supported by the simulated switch."""
@@ -226,16 +208,6 @@ class FlowTable:
                 del self._entries[index]
                 return True
         return False
-
-    def remove_matching(self, predicate) -> int:
-        """Remove every entry for which *predicate(entry)* is true."""
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if not predicate(e)]
-        return before - len(self._entries)
-
-    def clear(self) -> None:
-        """Remove every entry."""
-        self._entries.clear()
 
     def lookup(self, packet: Packet, in_port: int) -> FlowEntry | None:
         """Highest-priority entry matching *packet*, updating its counters."""

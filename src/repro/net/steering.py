@@ -5,7 +5,9 @@ traffic class must traverse (paper Figure 5).  It resolves each type to a
 physical middlebox host, allocates a VLAN tag block per chain, and
 proactively installs OpenFlow rules so that tagged packets hop
 middlebox-to-middlebox before the tag is popped and the packet is delivered
-to its destination.
+to its destination.  The rules are a pure function of the realized chains,
+assignments and flow pins (:func:`compile_rules`); every method that changes
+one of those ends in ``sync``, which makes the switches hold exactly them.
 
 Tagging follows SIMPLE's scheme: the tag encodes chain **and position**.
 A chain with base identifier ``c`` uses tag ``c + k`` on the path segment
@@ -26,13 +28,26 @@ service instance is visited before any middlebox that needs scan results
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Protocol
 
 from repro.net.controller import SDNController
-from repro.net.openflow import ActionType, FlowAction, FlowMatch
+from repro.net.openflow import FlowAction, FlowEntry, FlowMatch
 from repro.net.topology import Topology
 from repro.validation import raise_on_errors, validate_chains
+
+HOST_ROUTE_PRIORITY = 50
+CHAIN_PRIORITY = 200
+INGRESS_PRIORITY = 300
+FLOW_PIN_PRIORITY = 400
+#: The priorities whose entries the TSA owns; :meth:`sync` leaves others.
+STEERING_PRIORITIES = frozenset(
+    {HOST_ROUTE_PRIORITY, CHAIN_PRIORITY, INGRESS_PRIORITY, FLOW_PIN_PRIORITY}
+)
+
+#: One compiled rule: ``(priority, match, actions)``.
+Rule = tuple[int, FlowMatch, tuple[FlowAction, ...]]
 
 
 @dataclass
@@ -82,24 +97,116 @@ class RealizedChain:
     hop_hosts: tuple[str, ...]
 
 
-class ChainListener(Protocol):
-    """Anything notified when the policy-chain set changes.
+@dataclass
+class FlowPin:
+    """One flow of an assignment steered through substitute hops.
 
-    This is the channel through which the DPI controller receives the
-    policy chains (paper Section 4.1).
+    ``replacement_hops`` maps a hop host of the chain's realization to the
+    host that serves this flow instead; it is applied to whatever the chain
+    is realized as when the rules are compiled, so a re-steer keeps the pin.
     """
 
-    def policy_chains_changed(self, chains: "dict[str, PolicyChain]") -> None:
-        """Called with the full chain map after every update."""
-        ...
+    assignment: TrafficAssignment
+    five_tuple: object
+    replacement_hops: dict[str, str]
+
+
+def compile_rules(
+    topology: Topology,
+    realized: "dict[str, RealizedChain]",
+    assignments: "list[TrafficAssignment]",
+    pins: "list[FlowPin]",
+) -> "dict[str, list[Rule]]":
+    """Every steering rule, per switch, in installation order: host routes
+    (untagged shortest-path delivery), then per assignment its ingress
+    classifier and per-segment forwarding, then the flow pins likewise.
+
+    The first rule compiled for a (switch, in-port, tag) key wins, so
+    segments an assignment shares with its pins appear once.  Assignments
+    whose chain is not realized or whose hosts are not in the topology
+    compile to nothing (the ``CHAIN`` validators report those).
+    """
+    hosts, port_toward = topology.hosts, topology.port_toward
+    rules: dict[str, list[Rule]] = {name: [] for name in topology.switches}
+    claimed: set[tuple[str, int, int]] = set()
+
+    def add(switch: str, priority: int, match: FlowMatch, *actions) -> None:
+        if match.vlan_vid is not None and match.vlan_vid != FlowMatch.NO_VLAN:
+            key = (switch, match.in_port, match.vlan_vid)
+            if key in claimed:
+                return
+            claimed.add(key)
+        rules[switch].append((priority, match, actions))
+
+    for name, host in hosts.items():
+        for switch in topology.switches:
+            path = topology.shortest_path(switch, name)
+            add(
+                switch, HOST_ROUTE_PRIORITY,
+                FlowMatch(eth_dst=host.mac, vlan_vid=FlowMatch.NO_VLAN),
+                FlowAction.output(port_toward(switch, path[1])),
+            )
+    steered = [(INGRESS_PRIORITY, a, None, {}) for a in assignments] + [
+        (FLOW_PIN_PRIORITY, p.assignment, p.five_tuple, p.replacement_hops)
+        for p in pins
+    ]
+    for priority, assignment, flow, replacement in steered:
+        chain = realized.get(assignment.chain_name)
+        src, dst = assignment.src_host, assignment.dst_host
+        if chain is None or not chain.hop_hosts or not {src, dst} <= hosts.keys():
+            continue
+        if flow is None:
+            ingress = FlowMatch(
+                eth_src=hosts[src].mac, vlan_vid=FlowMatch.NO_VLAN,
+                ip_proto=assignment.ip_proto, dst_port=assignment.dst_port,
+            )
+        else:
+            ingress = FlowMatch(
+                vlan_vid=FlowMatch.NO_VLAN, ip_src=flow.src_ip,
+                ip_dst=flow.dst_ip, ip_proto=flow.protocol,
+                src_port=flow.src_port, dst_port=flow.dst_port,
+            )
+        # Segment k runs into hop k (the last one into *dst*) tagged c+k:
+        # the ingress pushes c, the rule at hop k-1's egress rewrites c+k-1
+        # to c+k, or pops it when it hands the packet to *dst*.
+        waypoints = [src, *(replacement.get(h, h) for h in chain.hop_hosts), dst]
+        tag = chain.chain.chain_id
+        for k in range(len(waypoints) - 1):
+            final = k == len(waypoints) - 2
+            path = topology.shortest_path(waypoints[k], waypoints[k + 1])
+            switch, in_port = path[1], port_toward(path[1], path[0])
+            output = FlowAction.output(port_toward(switch, path[2]))
+            if k == 0:
+                push = FlowAction.push_vlan(tag)
+                add(switch, priority, replace(ingress, in_port=in_port), push, output)
+            else:
+                match = FlowMatch(in_port=in_port, vlan_vid=tag + k - 1)
+                bump = (FlowAction.pop_vlan() if final and path[2] == dst
+                        else FlowAction.set_vlan_vid(tag + k))
+                add(switch, CHAIN_PRIORITY, match, bump, output)
+            for index in range(2, len(path) - 1):
+                node, next_node = path[index], path[index + 1]
+                if node not in topology.switches:
+                    continue
+                match = FlowMatch(
+                    in_port=port_toward(node, path[index - 1]), vlan_vid=tag + k
+                )
+                pop = (FlowAction.pop_vlan(),) if final and next_node in hosts else ()
+                output = FlowAction.output(port_toward(node, next_node))
+                add(node, CHAIN_PRIORITY, match, *pop, output)
+    return rules
+
+
+class ChainListener(Protocol):
+    """Called with the full chain map after every change: the channel
+    through which the DPI controller receives the policy chains (§4.1)."""
+
+    def policy_chains_changed(self, chains: "dict[str, PolicyChain]") -> None: ...
 
 
 class TrafficSteeringApplication:
-    """Computes and installs the steering rules for all policy chains."""
+    """Keeps every switch's steering entries equal to the compiled rules."""
 
-    CHAIN_PRIORITY = 200
-    INGRESS_PRIORITY = 300
-    HOST_ROUTE_PRIORITY = 50
     FIRST_CHAIN_ID = 100
     #: Tag block per chain: base id + segment index; bounds chain length.
     CHAIN_ID_STRIDE = 16
@@ -116,27 +223,18 @@ class TrafficSteeringApplication:
         self._instances: dict[str, list[str]] = {}
         self._round_robin: dict[str, itertools.cycle] = {}
         self.realized: dict[str, RealizedChain] = {}
+        self.pins: list[FlowPin] = []
         self._chain_listeners: list[ChainListener] = []
-        # (switch, in-port, tag) keys of rules already installed.
-        self._installed_rules: set[tuple[str, int, int]] = set()
-        self._host_routes_installed = False
-        controller.register_application(self)
-
-    # --- telemetry --------------------------------------------------------
 
     def _telemetry_registry(self):
         """The attached telemetry hub's registry, or None."""
         hub = self.topology.simulator.telemetry
         return None if hub is None else hub.registry
 
-    def _install(self, switch_name, match, actions, priority):
-        """Install one rule via the SDN controller, counting it."""
+    def _count(self, counter: str, amount: int = 1) -> None:
         registry = self._telemetry_registry()
         if registry is not None:
-            registry.counter("tsa_rules_installed_total").inc()
-        return self.controller.install(
-            switch_name, match, actions, priority=priority
-        )
+            registry.counter(counter).inc(amount)
 
     # --- registration -----------------------------------------------------
 
@@ -178,11 +276,7 @@ class TrafficSteeringApplication:
             )
 
     def add_chain_listener(self, listener: ChainListener) -> None:
-        """*listener.policy_chains_changed(chains)* is called on updates.
-
-        This is the channel through which the DPI controller receives the
-        policy chains (paper Section 4.1).
-        """
+        """*listener.policy_chains_changed(chains)* is called on updates."""
         self._chain_listeners.append(listener)
         listener.policy_chains_changed(dict(self.chains))
 
@@ -227,169 +321,79 @@ class TrafficSteeringApplication:
             hops.append(next(self._round_robin[middlebox_type]))
         return RealizedChain(chain=chain, hop_hosts=tuple(hops))
 
-    @staticmethod
-    def segment_tag(chain: PolicyChain, segment: int) -> int:
-        """The VLAN tag on the path *into* hop *segment* (0-based)."""
-        return chain.chain_id + segment
-
     def realize(self, validate: bool = True) -> None:
-        """Compute and install every rule: host routes, ingress classifiers
-        and per-hop chain forwarding.
+        """Resolve every assigned chain not yet realized, then :meth:`sync`.
 
         With ``validate=True`` (the default) the chains and assignments
         are statically checked first
         (:func:`repro.validation.validate_chains`); error-grade
         issues raise :class:`~repro.validation.ValidationError`
         *before* any rule is installed, so a misconfigured chain cannot
-        leave a switch half-programmed.
+        leave a switch half-programmed.  Calling it again installs nothing
+        unless a chain was rewritten or an assignment added since.
         """
         if validate:
             raise_on_errors(validate_chains(self))
-        self._install_host_routes()
         for assignment in self.assignments:
             chain = self.chains[assignment.chain_name]
             realized = self.realized.get(chain.name)
             if realized is None or realized.chain is not chain:
-                realized = self.resolve_chain(chain)
-                self.realized[chain.name] = realized
-            self._install_assignment(assignment, realized)
+                self.realized[chain.name] = self.resolve_chain(chain)
+        self.sync(self.compile())
 
-    def _install_host_routes(self) -> None:
-        """Shortest-path delivery for untagged unicast traffic to each host."""
-        if self._host_routes_installed:
-            return
-        self._host_routes_installed = True
-        for host_name, host in self.topology.hosts.items():
-            for switch_name in self.topology.switches:
-                path = self.topology.shortest_path(switch_name, host_name)
-                next_hop = path[1]
-                out_port = self.topology.port_toward(switch_name, next_hop)
-                self._install(
-                    switch_name,
-                    FlowMatch(eth_dst=host.mac, vlan_vid=FlowMatch.NO_VLAN),
-                    [FlowAction.output(out_port)],
-                    priority=self.HOST_ROUTE_PRIORITY,
-                )
+    # --- compile and sync ----------------------------------------------------
 
-    def _install_assignment(
-        self, assignment: TrafficAssignment, realized: RealizedChain
-    ) -> None:
-        chain = realized.chain
-        hops = list(realized.hop_hosts)
-        if not hops:
-            # Empty chain: untagged host routes already deliver the traffic.
-            return
-        self._install_ingress(assignment, chain, hops[0])
-        # Segment k+1 leaves hop k; the rule at the hop's egress bumps the
-        # tag from c+k to c+k+1 (the final segment pops instead).
-        waypoints = hops + [assignment.dst_host]
-        for k in range(len(hops)):
-            self._install_bumped_segment(
-                chain,
-                segment=k + 1,
-                from_host=waypoints[k],
-                to_host=waypoints[k + 1],
-                final=(k == len(hops) - 1),
-            )
-
-    def _install_ingress(
-        self, assignment: TrafficAssignment, chain: PolicyChain, first_hop: str
-    ) -> None:
-        """Classify at the switch adjacent to the source host: push tag
-        ``c+0`` and forward toward hop 0."""
-        src = assignment.src_host
-        path = self.topology.shortest_path(src, first_hop)
-        ingress_switch = path[1]
-        in_port = self.topology.port_toward(ingress_switch, src)
-        src_host = self.topology.hosts[src]
-        match = FlowMatch(
-            in_port=in_port,
-            eth_src=src_host.mac,
-            vlan_vid=FlowMatch.NO_VLAN,
-            ip_proto=assignment.ip_proto,
-            dst_port=assignment.dst_port,
+    def compile(self) -> "dict[str, list[Rule]]":
+        """:func:`compile_rules` over this TSA's current inputs."""
+        return compile_rules(
+            self.topology, self.realized, self.assignments, self.pins
         )
-        tag = self.segment_tag(chain, 0)
-        actions = [FlowAction.push_vlan(tag)]
-        actions += self._forward_actions(ingress_switch, path[1:], final=False)
-        self._install(
-            ingress_switch, match, actions, priority=self.INGRESS_PRIORITY
-        )
-        # Remaining switches on the way to the first hop:
-        self._install_tagged_path(tag, path, skip_first_switch=True, final=False)
 
-    def _install_bumped_segment(
-        self,
-        chain: PolicyChain,
-        segment: int,
-        from_host: str,
-        to_host: str,
-        final: bool,
-    ) -> None:
-        """Steer packets re-entering from *from_host* toward *to_host*.
+    def diff(
+        self, wanted: "dict[str, list[Rule]]"
+    ) -> "tuple[list[tuple[str, FlowEntry]], list[tuple[str, Rule]]]":
+        """``(stale, missing)``: the ``(switch, entry)`` pairs installed at a
+        steering priority that *wanted* lacks, and the ``(switch, rule)``
+        pairs of *wanted* no entry provides, in order.  Both are multisets:
+        two identical entries satisfy two identical rules, not one."""
+        stale: list[tuple[str, FlowEntry]] = []
+        missing: list[tuple[str, Rule]] = []
+        for name, switch in self.topology.switches.items():
+            rules = wanted.get(name, [])
+            installed = [
+                entry for entry in switch.table
+                if entry.priority in STEERING_PRIORITIES
+            ]
+            if not installed:  # a first realize: skip hashing every rule
+                missing.extend((name, rule) for rule in rules)
+                continue
+            unmatched = Counter(rules)
+            for entry in installed:
+                key = (entry.priority, entry.match, tuple(entry.actions))
+                if unmatched[key] > 0:
+                    unmatched[key] -= 1
+                else:
+                    stale.append((name, entry))
+            for rule in rules:
+                if unmatched[rule] > 0:
+                    unmatched[rule] -= 1
+                    missing.append((name, rule))
+        return stale, missing
 
-        The first switch matches the previous segment's tag and rewrites it
-        to this segment's (or pops it when it is also the last switch before
-        the destination).
+    def sync(self, wanted: "dict[str, list[Rule]]") -> "list[tuple[str, FlowEntry]]":
+        """Make the steering entries equal *wanted*; returns the removed ones.
+
+        Entries already in place stay (with their counters); missing rules
+        are installed in *wanted*'s order through the SDN controller.
         """
-        old_tag = self.segment_tag(chain, segment - 1)
-        new_tag = self.segment_tag(chain, segment)
-        path = self.topology.shortest_path(from_host, to_host)
-        first_switch = path[1]
-        in_port = self.topology.port_toward(first_switch, from_host)
-        rule_key = (first_switch, in_port, old_tag)
-        if rule_key not in self._installed_rules:
-            self._installed_rules.add(rule_key)
-            match = FlowMatch(in_port=in_port, vlan_vid=old_tag)
-            out_port = self.topology.port_toward(first_switch, path[2])
-            if final and path[2] == to_host:
-                actions = [FlowAction.pop_vlan(), FlowAction.output(out_port)]
-            else:
-                actions = [
-                    FlowAction.set_vlan_vid(new_tag),
-                    FlowAction.output(out_port),
-                ]
-            self._install(
-                first_switch, match, actions, priority=self.CHAIN_PRIORITY
-            )
-        self._install_tagged_path(new_tag, path, skip_first_switch=True, final=final)
-
-    def _install_tagged_path(
-        self, tag: int, path: list[str], skip_first_switch: bool, final: bool
-    ) -> None:
-        """Install (tag, in-port) -> output rules along *path*.
-
-        *path* runs node-to-node (host or switch endpoints); rules are only
-        installed on the switch nodes.
-        """
-        for index in range(1, len(path) - 1):
-            node = path[index]
-            if node not in self.topology.switches:
-                continue
-            if skip_first_switch and index == 1:
-                continue
-            in_port = self.topology.port_toward(node, path[index - 1])
-            rule_key = (node, in_port, tag)
-            if rule_key in self._installed_rules:
-                continue
-            self._installed_rules.add(rule_key)
-            match = FlowMatch(in_port=in_port, vlan_vid=tag)
-            actions = self._forward_actions(node, path[index:], final=final)
-            self._install(
-                node, match, actions, priority=self.CHAIN_PRIORITY
-            )
-
-    def _forward_actions(
-        self, switch_name: str, remaining_path: list[str], final: bool
-    ) -> list[FlowAction]:
-        """Output action (plus tag pop when delivering to the destination)."""
-        next_node = remaining_path[1]
-        out_port = self.topology.port_toward(switch_name, next_node)
-        actions: list[FlowAction] = []
-        if final and next_node in self.topology.hosts:
-            actions.append(FlowAction.pop_vlan())
-        actions.append(FlowAction.output(out_port))
-        return actions
+        stale, missing = self.diff(wanted)
+        for name, entry in stale:
+            self.topology.switches[name].table.remove(entry.entry_id)
+        for name, (priority, match, actions) in missing:
+            self.controller.install(name, match, list(actions), priority=priority)
+        if missing:
+            self._count("tsa_rules_installed_total", len(missing))
+        return stale
 
     # --- failover re-steering (fault recovery) ------------------------------
 
@@ -402,79 +406,43 @@ class TrafficSteeringApplication:
         path to its substitute (e.g. a crashed DPI instance's host -> a
         surviving instance's host), or to ``None`` to drop the hop from the
         path entirely (graceful degradation: middleboxes scan locally, so
-        the DPI hop is bypassed).  Every rule in the chain's tag block —
-        ingress classifiers, per-segment forwarding, and flow pins — is
-        removed from the switches and reinstalled against the new path, so
-        packets already steered keep a consistent rule set and new packets
-        never see the failed hop.  Returns the updated realization.
+        the DPI hop is bypassed).  Returns the updated realization.
         """
+        realized = self._realized(chain_name, replacement_hops)
+        hops = (replacement_hops.get(hop, hop) for hop in realized.hop_hosts)
+        return self.reinstall_chain(chain_name, tuple(filter(None, hops)))
+
+    def reinstall_chain(
+        self, chain_name: str, hop_hosts: "tuple[str, ...]"
+    ) -> RealizedChain:
+        """Replace a realized chain's hop hosts and :meth:`sync`.
+
+        The low-level half of :meth:`resteer_chain`; also used directly to
+        *reattach* a chain to its original path once a failed hop recovers
+        (the original hop list cannot be expressed as a replacement map
+        when degradation removed the hop entirely).  Rules the old and new
+        paths share stay installed; flow pins on the chain are kept.
+        """
+        realized = self._realized(chain_name, {})
+        updated = RealizedChain(chain=realized.chain, hop_hosts=tuple(hop_hosts))
+        self.realized[chain_name] = updated
+        self.sync(self.compile())
+        self._count("tsa_resteers_total")
+        return updated
+
+    def _realized(self, chain_name: str, replacement_hops) -> RealizedChain:
+        """The chain's realization; KeyError unless every key is a hop."""
         realized = self.realized.get(chain_name)
         if realized is None:
             raise KeyError(f"chain {chain_name!r} has not been realized")
-        chain = realized.chain
         for original in replacement_hops:
             if original not in realized.hop_hosts:
                 raise KeyError(
                     f"{original!r} is not a hop of chain {chain_name!r}"
                 )
-        new_hops = tuple(
-            replacement_hops.get(hop, hop)
-            for hop in realized.hop_hosts
-            if replacement_hops.get(hop, hop) is not None
-        )
-        return self.reinstall_chain(chain_name, new_hops)
-
-    def reinstall_chain(
-        self, chain_name: str, hop_hosts: "tuple[str, ...]"
-    ) -> RealizedChain:
-        """Replace a realized chain's hop hosts and rebuild its rules.
-
-        The low-level half of :meth:`resteer_chain`; also used directly to
-        *reattach* a chain to its original path once a failed hop recovers
-        (the original hop list cannot be expressed as a replacement map
-        when degradation removed the hop entirely).
-        """
-        realized = self.realized.get(chain_name)
-        if realized is None:
-            raise KeyError(f"chain {chain_name!r} has not been realized")
-        chain = realized.chain
-        self._remove_chain_rules(chain)
-        updated = RealizedChain(chain=chain, hop_hosts=tuple(hop_hosts))
-        self.realized[chain_name] = updated
-        for assignment in self.assignments:
-            if assignment.chain_name == chain_name:
-                self._install_assignment(assignment, updated)
-        registry = self._telemetry_registry()
-        if registry is not None:
-            registry.counter("tsa_resteers_total").inc()
-        return updated
-
-    def _remove_chain_rules(self, chain: PolicyChain) -> int:
-        """Uninstall every switch rule referencing the chain's tag block."""
-        tags = range(chain.chain_id, chain.chain_id + self.CHAIN_ID_STRIDE)
-
-        def references_chain(entry) -> bool:
-            vid = entry.match.vlan_vid
-            if vid is not None and vid in tags:
-                return True
-            return any(
-                action.type
-                in (ActionType.PUSH_VLAN, ActionType.SET_VLAN_VID)
-                and action.argument in tags
-                for action in entry.actions
-            )
-
-        removed = 0
-        for switch in self.topology.switches.values():
-            removed += switch.flow_remove(references_chain)
-        self._installed_rules = {
-            key for key in sorted(self._installed_rules) if key[2] not in tags
-        }
-        return removed
+        return realized
 
     # --- per-flow repinning (DPI flow migration, Section 4.3) ----------------
-
-    FLOW_PIN_PRIORITY = 400
 
     def pin_flow(
         self,
@@ -482,96 +450,38 @@ class TrafficSteeringApplication:
         src_host: str,
         five_tuple,
         replacement_hops: dict[str, str],
-    ) -> "list[tuple[str, object]]":
+    ) -> FlowPin:
         """Steer one flow of an assigned chain through substitute hops.
 
         ``replacement_hops`` maps a host name on the chain's realized path
         to the host that should serve this flow instead (e.g. the stressed
-        DPI instance's host -> the dedicated instance's host).  Rules are
-        installed at :data:`FLOW_PIN_PRIORITY`, above the chain's generic
-        rules, matching the flow's 5-tuple at the ingress; the tagged
-        per-hop rules for the substitute hosts are shared with any other
-        pinned flow of the same chain.
+        DPI instance's host -> the dedicated instance's host).  The flow's
+        ingress rule sits at :data:`FLOW_PIN_PRIORITY`, above the chain's,
+        matching its 5-tuple; the tagged per-hop rules for the substitute
+        hosts are shared with any other pinned flow of the same chain.
 
-        Returns the installed ingress entries (so a caller can remove them
-        when the migration is rolled back).
+        Returns the pin, for :meth:`unpin_flow` when the migration is
+        rolled back.
         """
-        realized = self.realized.get(chain_name)
-        if realized is None:
-            raise KeyError(f"chain {chain_name!r} has not been realized")
-        chain = realized.chain
-        for original in replacement_hops:
-            if original not in realized.hop_hosts:
-                raise KeyError(
-                    f"{original!r} is not a hop of chain {chain_name!r}"
-                )
-        new_hops = tuple(
-            replacement_hops.get(hop, hop) for hop in realized.hop_hosts
-        )
-        assignment = next(
-            (
-                a
-                for a in self.assignments
-                if a.chain_name == chain_name and a.src_host == src_host
-            ),
-            None,
-        )
-        if assignment is None:
+        self._realized(chain_name, replacement_hops)
+        for assignment in self.assignments:
+            if (assignment.chain_name, assignment.src_host) == (chain_name, src_host):
+                break
+        else:
             raise KeyError(
                 f"no assignment of chain {chain_name!r} from {src_host!r}"
             )
-        registry = self._telemetry_registry()
-        if registry is not None:
-            registry.counter("tsa_flow_pins_total").inc()
-        installed = [
-            self._install_flow_ingress(chain, src_host, new_hops[0], five_tuple)
-        ]
-        waypoints = list(new_hops) + [assignment.dst_host]
-        for k in range(len(new_hops)):
-            self._install_bumped_segment(
-                chain,
-                segment=k + 1,
-                from_host=waypoints[k],
-                to_host=waypoints[k + 1],
-                final=(k == len(new_hops) - 1),
-            )
-        return installed
+        self._count("tsa_flow_pins_total")
+        pin = FlowPin(assignment, five_tuple, dict(replacement_hops))
+        self.pins.append(pin)
+        self.sync(self.compile())
+        return pin
 
-    def _install_flow_ingress(
-        self, chain: PolicyChain, src: str, first_hop: str, five_tuple
-    ) -> "tuple[str, object]":
-        path = self.topology.shortest_path(src, first_hop)
-        ingress_switch = path[1]
-        in_port = self.topology.port_toward(ingress_switch, src)
-        match = FlowMatch(
-            in_port=in_port,
-            vlan_vid=FlowMatch.NO_VLAN,
-            ip_src=five_tuple.src_ip,
-            ip_dst=five_tuple.dst_ip,
-            ip_proto=five_tuple.protocol,
-            src_port=five_tuple.src_port,
-            dst_port=five_tuple.dst_port,
-        )
-        tag = self.segment_tag(chain, 0)
-        actions = [FlowAction.push_vlan(tag)]
-        actions += self._forward_actions(ingress_switch, path[1:], final=False)
-        entry = self._install(
-            ingress_switch, match, actions, priority=self.FLOW_PIN_PRIORITY
-        )
-        self._install_tagged_path(tag, path, skip_first_switch=True, final=False)
-        return (ingress_switch, entry)
-
-    def unpin_flow(self, installed: "list[tuple[str, object]]") -> int:
-        """Remove the ingress entries returned by :meth:`pin_flow`."""
-        removed = 0
-        for switch_name, entry in installed:
-            switch = self.topology.switches[switch_name]
-            if switch.table.remove(entry.entry_id):
-                removed += 1
-        return removed
-
-    # --- packet-in (proactive app: never consumes events) ------------------
-
-    def handle_packet_in(self, switch, packet, in_port) -> bool:
-        """Packet-in hook (proactive app: never consumes events)."""
-        return False
+    def unpin_flow(self, pin: FlowPin) -> int:
+        """Drop a pin from :meth:`pin_flow`; returns the ingress entries
+        removed (0 if the pin is not active)."""
+        if pin not in self.pins:
+            return 0
+        self.pins.remove(pin)
+        removed = self.sync(self.compile())
+        return sum(entry.priority == FLOW_PIN_PRIORITY for _, entry in removed)

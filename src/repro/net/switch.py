@@ -150,10 +150,6 @@ class Switch:
         """Install a flow entry (controller -> switch)."""
         return self.table.install(entry)
 
-    def flow_remove(self, predicate) -> int:
-        """Remove entries selected by *predicate*."""
-        return self.table.remove_matching(predicate)
-
     def packet_out(self, packet: Packet, actions, in_port: int = -1) -> None:
         """Inject *packet* with an explicit action list (controller)."""
         self.execute(packet, actions, in_port)

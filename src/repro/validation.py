@@ -24,8 +24,8 @@ CHAIN002    error      two chains' tag blocks overlap
 CHAIN003    error      traffic assignment references an unknown host
 CHAIN004    warning    chain carries no traffic assignment
 CHAIN005    warning    chain has no allocated chain id
-STEER001    error      rule matches a VLAN tag no chain allocates
-STEER002    error      assigned chain's ingress tag is never pushed
+STEER001    error      steering entry installed but not compiled (orphan)
+STEER002    error      compiled steering rule not installed
 FLOW001     warning    same-priority overlapping matches on one switch
 FLOW002     error      duplicate rule (identical match, same priority)
 PAT001      warning    duplicate pattern content within one middlebox set
@@ -219,13 +219,9 @@ def _components(adjacency: dict[str, dict[str, int]]) -> list[list[str]]:
 
 
 def _tag_block(chain: Any) -> tuple[int, int] | None:
-    """The inclusive tag range a chain occupies, or None when unallocated.
-
-    A chain with base id ``c`` and ``n`` middleboxes uses tags
-    ``c .. c+n`` (one segment into each hop plus the final segment into
-    the destination); the allocator reserves a full *stride* per chain,
-    but only the used range can collide observably.
-    """
+    """The inclusive tags ``c .. c+n`` a chain of *n* hops uses (one per
+    segment; only these can collide, not the rest of its stride), or None
+    when unallocated."""
     if chain.chain_id is None:
         return None
     return (chain.chain_id, chain.chain_id + len(chain.middlebox_types))
@@ -308,64 +304,46 @@ def validate_chains(tsa: "TrafficSteeringApplication") -> list[ValidationIssue]:
 # --- steering rules ---------------------------------------------------------
 
 
-def _iter_switch_entries(topology: "Topology") -> list[tuple[str, Any]]:
-    entries: list[tuple[str, Any]] = []
-    for name in sorted(topology.switches):
-        for entry in topology.switches[name].table:
-            entries.append((name, entry))
-    return entries
+def _steering_issue(
+    code: str, rows: list[tuple[str, Any, Any]], what: str
+) -> ValidationIssue:
+    """One issue over the ``(switch, match, actions)`` rows of a diff side,
+    naming the VLAN tags they match, push or set."""
+    tags: set[int] = set()
+    untagged = 0
+    for _, match, actions in rows:
+        found = {
+            action.argument for action in actions
+            if action.type.name in ("PUSH_VLAN", "SET_VLAN_VID")
+        }
+        if match.vlan_vid not in (None, match.NO_VLAN):
+            found.add(match.vlan_vid)
+        tags |= found
+        untagged += not found
+    named = [f"VLAN tag(s) {', '.join(map(str, sorted(tags)))}"] if tags else []
+    named += [f"{untagged} untagged"] if untagged else []
+    return ValidationIssue(
+        code=code,
+        severity=Severity.ERROR,
+        subject=",".join(sorted({switch for switch, _, _ in rows})),
+        message=f"{len(rows)} rule(s) ({'; '.join(named)}) {what}",
+    )
 
 
 def validate_steering(tsa: "TrafficSteeringApplication") -> list[ValidationIssue]:
-    """Post-realization checks: installed rules vs allocated tag blocks."""
+    """Post-realization check: the installed steering entries must be
+    exactly what the TSA's inputs compile to (STEER001: installed, not
+    compiled; STEER002: compiled, not installed)."""
+    stale, missing = tsa.diff(tsa.compile())
     issues: list[ValidationIssue] = []
-    topology = tsa.topology
-    allocated: list[tuple[int, int]] = []
-    for chain in tsa.chains.values():
-        block = _tag_block(chain)
-        if block is not None:
-            # Reserve the full stride: rewrites may lengthen the chain.
-            allocated.append((block[0], block[0] + tsa.CHAIN_ID_STRIDE - 1))
-    entries = _iter_switch_entries(topology)
-    no_vlan = None
-    for switch_name, entry in entries:
-        no_vlan = type(entry.match).NO_VLAN
-        break
-    matched_tags: set[int] = set()
-    pushed_tags: set[int] = set()
-    for switch_name, entry in entries:
-        vid = entry.match.vlan_vid
-        if vid is not None and vid != no_vlan:
-            matched_tags.add(vid)
-            if not any(low <= vid <= high for low, high in allocated):
-                issues.append(
-                    ValidationIssue(
-                        code="STEER001",
-                        severity=Severity.ERROR,
-                        subject=switch_name,
-                        message=f"rule matches VLAN tag {vid}, which no "
-                        "policy chain allocates (orphan steering rule)",
-                    )
-                )
-        for action in entry.actions:
-            if action.type.name in ("PUSH_VLAN", "SET_VLAN_VID"):
-                if action.argument is not None:
-                    pushed_tags.add(action.argument)
-    for name in sorted(tsa.realized):
-        chain = tsa.realized[name].chain
-        if chain.chain_id is None or not tsa.realized[name].hop_hosts:
-            continue
-        ingress_tag = chain.chain_id
-        if ingress_tag not in pushed_tags:
-            issues.append(
-                ValidationIssue(
-                    code="STEER002",
-                    severity=Severity.ERROR,
-                    subject=name,
-                    message=f"no rule pushes the chain's ingress tag "
-                    f"{ingress_tag}; assigned traffic would bypass the chain",
-                )
-            )
+    if stale:
+        rows = [(switch, e.match, e.actions) for switch, e in stale]
+        what = "installed but compiled from no chain (orphan steering rule)"
+        issues.append(_steering_issue("STEER001", rows, what))
+    if missing:
+        rows = [(switch, match, acts) for switch, (_, match, acts) in missing]
+        what = "compiled but not installed; steered traffic would miss them"
+        issues.append(_steering_issue("STEER002", rows, what))
     return issues
 
 

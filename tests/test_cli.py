@@ -95,6 +95,25 @@ class TestCommands:
         assert "throughput:" in out
         assert "matched packets:" in out
 
+    @pytest.mark.parametrize("engine", ["wm", "combined"])
+    def test_scan_layout_is_for_the_ac_engine_only(self, capsys, engine):
+        """``--layout`` used to be silently ignored by the other engines."""
+        code = main(["scan", "--patterns", "p.txt", "--trace", "t.rtrc",
+                     "--engine", engine, "--layout", "full"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "scan: --layout applies to --engine ac only\n"
+        assert captured.out == ""
+
+    def test_scan_ac_layout_defaults_to_sparse(self, tmp_path, capsys):
+        pats, trace_path = tmp_path / "pats.txt", tmp_path / "t.rtrc"
+        main(["generate-patterns", "--count", "10", "--out", str(pats)])
+        main(["generate-trace", "--packets", "5", "--out", str(trace_path)])
+        capsys.readouterr()
+        assert main(["scan", "--patterns", str(pats),
+                     "--trace", str(trace_path)]) == 0
+        assert "engine: ac (sparse)" in capsys.readouterr().out
+
     def test_scan_rejects_regex_only_file(self, tmp_path, capsys):
         pats = tmp_path / "p.txt"
         write_pattern_file(pats, [], regexes=[rb"\d+"])

@@ -141,6 +141,24 @@ class TestFlowPinning:
         send(topo, b"unpinned", src_port=6000)
         assert pinnable_system["main"].telemetry.packets_scanned == 1
 
+    def test_resteer_keeps_flow_pins(self, pinnable_system):
+        """Regression: re-steering a chain used to delete its flow pins, so
+        the pinned flow went back to the instance its state had left."""
+        topo = pinnable_system["topo"]
+        tsa = pinnable_system["tsa"]
+        flow = heavy_flow_tuple(topo, src_port=6000)
+        pinnable_system["controller"].migrate_flow(
+            flow, "dpi_main", "dpi_dedicated"
+        )
+        pin = tsa.pin_flow("web", "user1", flow, {"dpi_main": "dpi_dedicated"})
+        entries = len(topo.switches["s1"].table)
+        tsa.reinstall_chain("web", tsa.realized["web"].hop_hosts)
+        assert len(topo.switches["s1"].table) == entries
+        send(topo, b"after re-steer", src_port=6000)
+        assert pinnable_system["main"].telemetry.packets_scanned == 0
+        assert pinnable_system["dedicated"].telemetry.packets_scanned == 1
+        assert tsa.unpin_flow(pin) == 1
+
     def test_pin_unknown_chain_rejected(self, pinnable_system):
         flow = heavy_flow_tuple(pinnable_system["topo"], src_port=1)
         with pytest.raises(KeyError):

@@ -64,10 +64,6 @@ class TestFlowMatch:
         ).matches(packet, 1)
         assert not FlowMatch(dst_port=80).matches(packet, 1)
 
-    def test_specificity(self):
-        assert FlowMatch().specificity() == 0
-        assert FlowMatch(in_port=1, vlan_vid=10).specificity() == 2
-
 
 class TestFlowActions:
     def test_push_and_set_vlan(self):
@@ -132,13 +128,6 @@ class TestFlowTable:
         assert table.remove(entry.entry_id)
         assert not table.remove(entry.entry_id)
         assert len(table) == 0
-
-    def test_remove_matching(self):
-        table = FlowTable()
-        table.install(FlowEntry(FlowMatch(), [], priority=1))
-        table.install(FlowEntry(FlowMatch(), [], priority=2))
-        removed = table.remove_matching(lambda e: e.priority == 1)
-        assert removed == 1 and len(table) == 1
 
 
 class _HostStub:

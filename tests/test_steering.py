@@ -201,3 +201,23 @@ class TestMultiSwitchSteering:
         received = topo.hosts["user2"].received_packets
         assert len(received) == 1
         assert received[0].outer_vlan is None
+
+
+def test_realize_is_idempotent():
+    """A second realize() installs nothing: it used to add a duplicate of
+    every ingress classifier (two FLOW002 errors on figure 5's s1)."""
+    from repro.telemetry.scenario import build_figure5_system
+    from repro.validation import validate_scenario
+
+    system = build_figure5_system()
+
+    def tables():
+        return {
+            name: [(e.priority, e.match, e.actions) for e in switch.table]
+            for name, switch in system.topology.switches.items()
+        }
+
+    before = tables()
+    system.tsa.realize()
+    assert tables() == before
+    assert validate_scenario(topology=system.topology, tsa=system.tsa) == []

@@ -196,6 +196,7 @@ def test_unpushed_ingress_tag_is_steer002():
     # Mark the chain realized without installing any rule: the ingress
     # tag is never pushed anywhere.
     tsa.realized["c"] = RealizedChain(chain=chain, hop_hosts=("mb",))
+    tsa.assign_traffic(TrafficAssignment("src", "dst", "c"))
     issues = validate_steering(tsa)
     assert codes(issues) == ["STEER002"]
     assert str(chain.chain_id) in issues[0].message
